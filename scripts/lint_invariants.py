@@ -4,10 +4,12 @@
 Enforces textual invariants that neither the compiler nor clang-tidy can
 express (docs/static-analysis.md):
 
-  raw-poll     ::poll() may appear only in the deadline-bounded event-loop
-               consumers (sweep transport/runner, serve coordinator/client).
-               Everything else must route blocking waits through those
-               layers so no call site can block forever.
+  raw-poll     ::poll() may appear only in sweep/peer_loop.cpp, the one
+               multi-peer event loop both coordinators drive (deadlines
+               checked on every wake), and in the single-fd bounded waits
+               of the sweep transport and serve client. Everything else
+               must route blocking waits through those layers so no call
+               site can block forever.
   raw-parse    The strto*/ato*/sto*/sscanf families may appear only in
                src/util/parse.hpp, the single strict-parse choke point.
                Raw use silently accepts " 14", "1e4"-as-int and partial
@@ -55,12 +57,11 @@ FIXTURE_DIR = Path(__file__).resolve().parent / "lint_fixtures"
 # Rules
 # ---------------------------------------------------------------------------
 
-# Files allowed to call ::poll directly: each wraps the call in a
-# DeadlineTracker / bounded-timeout loop and is reviewed as such.
+# Files allowed to call ::poll directly: the shared peer loop (per-peer
+# deadlines) and the single-fd waits, each bounded by a timeout.
 POLL_ALLOWLIST = {
     "src/serve/client.cpp",
-    "src/serve/coordinator.cpp",
-    "src/sweep/runner.cpp",
+    "src/sweep/peer_loop.cpp",
     "src/sweep/transport.cpp",
 }
 
@@ -80,8 +81,8 @@ RULES = [
         "pattern": re.compile(r"(?<![\w:])::poll\s*\("),
         "allow": POLL_ALLOWLIST,
         "message": "raw ::poll() outside the deadline-bounded consumers; "
-                   "route the wait through sweep::Transport or the serve "
-                   "event loop",
+                   "route the wait through sweep::PeerLoop or a "
+                   "WorkerChannel",
     },
     {
         "id": "raw-parse",

@@ -1,7 +1,6 @@
 #include "serve/serving.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <deque>
@@ -13,14 +12,13 @@
 
 #include "io/codec.hpp"
 #include "resonator/problem.hpp"
-#include "sweep/deadline.hpp"
+#include "sweep/peer_loop.hpp"
 #include "sweep/transport.hpp"
 #include "util/rng.hpp"
 #include "util/sync.hpp"
 
 #if !defined(_WIN32)
 #define H3DFACT_POSIX_SERVE 1
-#include <poll.h>
 #include <unistd.h>
 #endif
 
@@ -71,7 +69,6 @@ struct PendingRequest {
 };
 
 struct InflightBatch {
-  std::uint64_t worker_id = 0;
   std::vector<PendingRequest> entries;
   Clock::time_point dispatched;
 };
@@ -90,7 +87,7 @@ struct ServeCoordinator::Impl {
   std::list<Peer> peers;
   std::deque<PendingRequest> pending;
   std::map<std::uint64_t, InflightBatch> inflight;
-  sweep::DeadlineTracker deadlines;
+  sweep::PeerLoop loop;
   // The poll loop owns every other field; the counters alone are shared
   // with ServeCoordinator::stats() callers on other threads (monitoring,
   // the stop path), so they live behind their own mutex. Mutations are
@@ -102,7 +99,7 @@ struct ServeCoordinator::Impl {
   std::uint64_t next_batch_id = 1;
 
   explicit Impl(ServeConfig config)
-      : cfg(std::move(config)), deadlines(cfg.worker_deadline_ms) {
+      : cfg(std::move(config)), loop(cfg.worker_deadline_ms) {
     if (cfg.dim == 0 || cfg.factors == 0 || cfg.codebook_size == 0 ||
         cfg.max_iterations == 0 || cfg.max_batch == 0 || cfg.max_queue == 0) {
       throw std::invalid_argument(
@@ -168,6 +165,18 @@ struct ServeCoordinator::Impl {
     return nullptr;
   }
 
+  Peer& peer_of(const WorkerChannel& ch) {
+    for (Peer& p : peers) {
+      if (p.ch.get() == &ch) return p;
+    }
+    throw std::logic_error("ServeCoordinator: frame from an unknown channel");
+  }
+
+  static bool is_worker(const Peer& peer) {
+    return peer.state == Peer::State::kWorkerReady ||
+           peer.state == Peer::State::kWorkerBinding;
+  }
+
   void reply_to_client(std::uint64_t client_id,
                        const sweep::FactorReplyFrame& reply) {
     Peer* client = peer_by_id(client_id);
@@ -200,9 +209,8 @@ struct ServeCoordinator::Impl {
   /// the requests fail back to their clients); a client's outstanding
   /// requests stay queued — their replies just have nowhere to go.
   void drop_peer(Peer& peer, const std::string& why) {
-    const bool was_worker = peer.state == Peer::State::kWorkerReady ||
-                            peer.state == Peer::State::kWorkerBinding;
-    deadlines.disarm(&peer);
+    const bool was_worker = is_worker(peer);
+    loop.disarm(*peer.ch);
     peer.ch->close_all();
     if (was_worker) bump(&ServeStats::workers_dropped);
     if (!why.empty()) {
@@ -267,7 +275,6 @@ struct ServeCoordinator::Impl {
 
       const std::size_t n = std::min(cfg.max_batch, pending.size());
       InflightBatch batch;
-      batch.worker_id = worker->id;
       batch.dispatched = now;
       sweep::BatchTaskFrame task;
       task.batch_id = next_batch_id++;
@@ -286,69 +293,51 @@ struct ServeCoordinator::Impl {
         continue;
       }
       worker->batch_id = task.batch_id;
-      deadlines.arm(worker);
+      loop.arm(*worker->ch);
       inflight.emplace(task.batch_id, std::move(batch));
       bump(&ServeStats::batches);
     }
   }
 
   void handle_hello(Peer& peer, const Frame& frame) {
-    sweep::HelloFrame hello;
-    try {
-      hello = sweep::decode_hello(frame.payload);
-    } catch (const std::exception& e) {
-      drop_peer(peer, std::string("bad hello: ") + e.what());
-      return;
-    }
-    if (hello.magic != sweep::kProtocolMagic ||
-        hello.version != sweep::kProtocolVersion) {
-      peer.ch->send(FrameKind::kError,
-                    "protocol mismatch: coordinator speaks v" +
-                        std::to_string(sweep::kProtocolVersion));
-      drop_peer(peer, "protocol mismatch");
+    PeerRole role{};
+    const std::string refused = sweep::check_hello(
+        *peer.ch, frame, {PeerRole::kServeClient, PeerRole::kServeWorker},
+        &role);
+    if (!refused.empty()) {
+      drop_peer(peer, refused);
       return;
     }
     sweep::HelloFrame ack;
-    ack.role = hello.role;
-    switch (static_cast<PeerRole>(hello.role)) {
-      case PeerRole::kServeClient:
-        if (!peer.ch->send(FrameKind::kHelloAck, encode_hello(ack))) {
-          drop_peer(peer, "hello ack send failed");
-          return;
-        }
-        peer.state = Peer::State::kClient;
-        bump(&ServeStats::clients_seen);
-        break;
-      case PeerRole::kServeWorker: {
-        sweep::ServeInitFrame init;
-        init.dim = cfg.dim;
-        init.factors = cfg.factors;
-        init.codebook_size = cfg.codebook_size;
-        init.max_iterations = cfg.max_iterations;
-        init.seed = cfg.seed;
-        // Advertise the warm-start artifact: the coordinator's own file if
-        // it loaded from one, else the one it just saved (same bytes by the
-        // deterministic writer). The fingerprint pins the exact codebooks.
-        init.artifact_path =
-            !cfg.artifact.empty() ? cfg.artifact : cfg.save_artifact;
-        init.artifact_fingerprint =
-            init.artifact_path.empty() ? 0 : fingerprint;
-        if (!peer.ch->send(FrameKind::kHelloAck, encode_hello(ack)) ||
-            !peer.ch->send(FrameKind::kServeInit, encode_serve_init(init))) {
-          drop_peer(peer, "worker init send failed");
-          return;
-        }
-        peer.state = Peer::State::kWorkerBinding;
-        bump(&ServeStats::workers_seen);
-        break;
+    ack.role = static_cast<std::uint32_t>(role);
+    if (role == PeerRole::kServeClient) {
+      if (!peer.ch->send(FrameKind::kHelloAck, encode_hello(ack))) {
+        drop_peer(peer, "hello ack send failed");
+        return;
       }
-      default:
-        peer.ch->send(FrameKind::kError,
-                      "this endpoint serves factorization requests; sweep "
-                      "workers must dial a sweep coordinator");
-        drop_peer(peer, "unsupported peer role " + std::to_string(hello.role));
-        break;
+      peer.state = Peer::State::kClient;
+      bump(&ServeStats::clients_seen);
+      return;
     }
+    sweep::ServeInitFrame init;
+    init.dim = cfg.dim;
+    init.factors = cfg.factors;
+    init.codebook_size = cfg.codebook_size;
+    init.max_iterations = cfg.max_iterations;
+    init.seed = cfg.seed;
+    // Advertise the warm-start artifact: the coordinator's own file if it
+    // loaded from one, else the one it just saved (same bytes by the
+    // deterministic writer). The fingerprint pins the exact codebooks.
+    init.artifact_path =
+        !cfg.artifact.empty() ? cfg.artifact : cfg.save_artifact;
+    init.artifact_fingerprint = init.artifact_path.empty() ? 0 : fingerprint;
+    if (!peer.ch->send(FrameKind::kHelloAck, encode_hello(ack)) ||
+        !peer.ch->send(FrameKind::kServeInit, encode_serve_init(init))) {
+      drop_peer(peer, "worker init send failed");
+      return;
+    }
+    peer.state = Peer::State::kWorkerBinding;
+    bump(&ServeStats::workers_seen);
   }
 
   void handle_client_frame(Peer& peer, const Frame& frame) {
@@ -451,7 +440,7 @@ struct ServeCoordinator::Impl {
         InflightBatch batch = std::move(it->second);
         inflight.erase(it);
         peer.batch_id.reset();
-        deadlines.disarm(&peer);
+        loop.disarm(*peer.ch);
         const Clock::time_point now = Clock::now();
         for (std::size_t i = 0; i < batch.entries.size(); ++i) {
           sweep::FactorReplyFrame reply = result.replies[i];
@@ -484,10 +473,6 @@ struct ServeCoordinator::Impl {
   void handle_frame(Peer& peer, const Frame& frame) {
     switch (peer.state) {
       case Peer::State::kAwaitHello:
-        if (frame.kind != FrameKind::kHello) {
-          drop_peer(peer, "peer opened with a non-Hello frame");
-          return;
-        }
         handle_hello(peer, frame);
         break;
       case Peer::State::kClient:
@@ -511,13 +496,14 @@ struct ServeCoordinator::Impl {
     peers.push_back(std::move(peer));
   }
 
-  /// Poll timeout: the earliest of (a) the worker batch deadline, (b) the
-  /// moment the oldest queued request ages past the batching window — but
-  /// only while an idle worker could actually take the flush, else the
-  /// wake-up would spin — and (c) the earliest per-request admission
-  /// deadline (expired requests are rejected even with no worker around).
+  /// Wake cap on top of the worker batch deadlines the loop tracks: the
+  /// earlier of (a) the moment the oldest queued request ages past the
+  /// batching window — but only while an idle worker could actually take
+  /// the flush, else the wake-up would spin — and (b) the earliest
+  /// per-request admission deadline (expired requests are rejected even
+  /// with no worker around). -1 when neither applies.
   int next_timeout_ms() {
-    int timeout = deadlines.poll_timeout_ms();
+    int timeout = -1;
     auto consider_us = [&timeout](std::int64_t left_us) {
       const int ms = static_cast<int>(
           (std::max<std::int64_t>(0, left_us) + 999) / 1000);
@@ -538,10 +524,7 @@ struct ServeCoordinator::Impl {
     for (Peer& p : peers) {
       if (p.ch->read_fd() < 0) continue;
       if (p.wants_drain_ack) p.ch->send(FrameKind::kDrain, "");
-      if (p.state == Peer::State::kWorkerReady ||
-          p.state == Peer::State::kWorkerBinding) {
-        p.ch->send(FrameKind::kShutdown, "");
-      }
+      if (is_worker(p)) p.ch->send(FrameKind::kShutdown, "");
       p.ch->close_all();
     }
   }
@@ -550,85 +533,46 @@ struct ServeCoordinator::Impl {
     if (listen_fd < 0) {
       throw std::runtime_error("ServeCoordinator: listen socket lost");
     }
-    for (;;) {
-      if (draining && pending.empty() && inflight.empty()) {
-        finish_drain();
-        break;
+    bool stopped = false;
+    sweep::PeerLoop::Handlers handlers;
+    handlers.on_frame = [this](WorkerChannel& ch, const Frame& frame) {
+      handle_frame(peer_of(ch), frame);
+    };
+    handlers.on_lost = [this](WorkerChannel& ch, const std::string& why) {
+      Peer& peer = peer_of(ch);
+      drop_peer(peer, why.empty() && is_worker(peer) ? "worker disconnected"
+                                                     : why);
+    };
+    handlers.on_fd = [this, &stopped](int fd) {
+      if (stopped) return;
+      if (fd == listen_fd) {
+        accept_peer();
+        return;
       }
+      char drainbuf[16];
+      (void)!::read(stop_pipe[0], drainbuf, sizeof drainbuf);
+      for (const PendingRequest& entry : pending) {
+        reject(entry, "coordinator stopped");
+      }
+      pending.clear();
+      finish_drain();
+      stopped = true;
+    };
+
+    while (!stopped) {
       dispatch_ready();
       if (draining && pending.empty() && inflight.empty()) {
         finish_drain();
         break;
       }
-
-      std::vector<pollfd> fds;
-      std::vector<Peer*> owners;
-      fds.push_back(pollfd{stop_pipe[0], POLLIN, 0});
-      owners.push_back(nullptr);
-      fds.push_back(pollfd{listen_fd, POLLIN, 0});
-      owners.push_back(nullptr);
-      for (Peer& p : peers) {
-        if (p.ch->read_fd() >= 0) {
-          fds.push_back(pollfd{p.ch->read_fd(), POLLIN, 0});
-          owners.push_back(&p);
-        }
-      }
-
-      const int rc = ::poll(fds.data(), fds.size(), next_timeout_ms());
-      if (rc < 0) {
-        if (errno == EINTR) continue;
+      std::vector<WorkerChannel*> channels;
+      for (Peer& p : peers) channels.push_back(p.ch.get());
+      if (!loop.wake(channels, {stop_pipe[0], listen_fd}, next_timeout_ms(),
+                     handlers)) {
         throw std::runtime_error("ServeCoordinator: poll failed");
       }
-      if (rc == 0) {
-        // Wake-up for an aged batch window or an expired worker deadline.
-        for (const void* raw : deadlines.expired()) {
-          auto* peer = static_cast<Peer*>(const_cast<void*>(raw));
-          deadlines.disarm(peer);
-          if (peer->ch->read_fd() >= 0 && peer->batch_id) {
-            drop_peer(*peer, "batch deadline of " +
-                                 std::to_string(cfg.worker_deadline_ms) +
-                                 " ms expired");
-          }
-        }
-        continue;
-      }
-
-      if ((fds[0].revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
-        char drainbuf[16];
-        (void)!::read(stop_pipe[0], drainbuf, sizeof drainbuf);
-        for (const PendingRequest& entry : pending) {
-          reject(entry, "coordinator stopped");
-        }
-        pending.clear();
-        finish_drain();
-        break;
-      }
-      if ((fds[1].revents & POLLIN) != 0) accept_peer();
-
-      for (std::size_t i = 2; i < fds.size(); ++i) {
-        if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-        Peer& peer = *owners[i];
-        if (peer.ch->read_fd() < 0) continue;
-        const long got = peer.ch->pump();
-        const bool disconnected = got <= 0;
-        try {
-          while (auto frame = peer.ch->next_frame()) {
-            handle_frame(peer, *frame);
-            if (peer.ch->read_fd() < 0) break;  // dropped while handling
-          }
-        } catch (const std::exception& e) {
-          drop_peer(peer, std::string("malformed frame: ") + e.what());
-          continue;
-        }
-        if (disconnected && peer.ch->read_fd() >= 0) {
-          drop_peer(peer, peer.state == Peer::State::kClient ||
-                                  peer.state == Peer::State::kAwaitHello
-                              ? ""
-                              : "worker disconnected");
-        }
-      }
-      // Closed peers are kept in `peers` until here so stale Peer pointers
-      // inside the loop body never dangle.
+      // Closed peers are kept in `peers` until here so the loop's channel
+      // pointers never dangle mid-wake.
       peers.remove_if([](const Peer& p) { return p.ch->read_fd() < 0; });
     }
     util::MutexLock lock(stats_mutex);

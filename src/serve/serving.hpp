@@ -18,8 +18,9 @@
 // BatchTask to an idle worker, which solves them in lockstep through a
 // BatchedFactorizer and answers a BatchResult that is demultiplexed into
 // per-request replies. A worker that wedges past `worker_deadline_ms` is
-// dropped via the sweep scheduler's DeadlineTracker and its batch requeued
-// (3 attempts, then a kFailed reply). A Drain frame stops admission,
+// dropped by the peer loop it shares with the sweep scheduler
+// (sweep/peer_loop.hpp) and its batch requeued (3 attempts, then a kFailed
+// reply). A Drain frame stops admission,
 // flushes everything in flight, acks the drainer and shuts the fleet down.
 //
 // Problem instances travel either seeded (the worker reproduces run_trials'
@@ -85,8 +86,8 @@ struct ServeConfig {
   std::int64_t max_delay_us = 2000;  ///< ...or when the oldest waited this
   std::size_t max_queue = 1024;   ///< admission bound; beyond it -> kRejected
 
-  /// Batch answer deadline per worker (the sweep DeadlineTracker machinery):
-  /// a worker holding a batch longer is dropped and the batch requeued.
+  /// Batch answer deadline per worker (the sweep::PeerLoop deadline): a
+  /// worker holding a batch longer is dropped and the batch requeued.
   /// 0 disables.
   int worker_deadline_ms = 10000;
 };

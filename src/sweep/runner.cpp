@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -16,17 +15,15 @@
 #include <stdexcept>
 #include <thread>
 
-#include "sweep/deadline.hpp"
 #include "sweep/emit.hpp"
+#include "sweep/peer_loop.hpp"
 #include "sweep/protocol.hpp"
 #include "sweep/transport.hpp"
 #include "util/sync.hpp"
 
 #if !defined(_WIN32)
 #define H3DFACT_SWEEP_HAS_FORK 1
-#include <poll.h>
 #include <signal.h>  // NOLINT(modernize-deprecated-headers) — POSIX kill()
-#include <unistd.h>
 #endif
 
 namespace h3dfact::sweep {
@@ -374,12 +371,12 @@ std::vector<CellResult> run_with_threads(const SweepSpec& spec,
 #if defined(H3DFACT_SWEEP_HAS_FORK)
 
 // Drives any mix of WorkerChannels (forked shards, stdio subprocesses, TCP
-// workers) from one dynamic queue. One task in flight per channel: the next
-// block is assigned the moment a result lands, so fast workers naturally
-// take more of the queue. Remote disconnects requeue; shard disconnects and
-// worker-reported errors abort. A remote channel that holds a block past
-// `block_deadline_ms` without answering is treated as disconnected (see
-// DeadlineTracker); 0 disables the deadline.
+// workers) from one dynamic queue through the shared PeerLoop. One task in
+// flight per channel: the next block is assigned the moment a result lands,
+// so fast workers naturally take more of the queue. Remote losses requeue;
+// shard losses and worker-reported errors abort. A remote channel that
+// holds a block past `block_deadline_ms` without answering is lost like a
+// disconnect; 0 disables the deadline.
 std::vector<CellResult> run_with_channels(
     const SweepSpec& spec, const std::vector<std::size_t>& cells,
     const std::vector<WorkerChannel*>& channels, CompletionLog& log,
@@ -387,18 +384,22 @@ std::vector<CellResult> run_with_channels(
   const std::vector<Task> tasks = build_tasks(spec, cells, channels.size());
   CellAssembler assembler(spec, cells);
   const std::size_t goal = log.total();
-  DeadlineTracker deadlines(block_deadline_ms);
+  PeerLoop loop(block_deadline_ms);
+
+  // Per-channel scheduler state: the block the worker owes, and whether it
+  // is still eligible for new ones.
+  struct Slot {
+    std::optional<std::size_t> task;
+    bool open = true;
+  };
+  std::map<const WorkerChannel*, Slot> slots;
+  for (WorkerChannel* ch : channels) slots[ch];
 
   std::deque<std::size_t> requeued;  // lost blocks run before fresh ones
   std::size_t next = 0;
   std::vector<unsigned> attempts(tasks.size(), 0);
   std::string failure;
   constexpr unsigned kMaxAttempts = 3;
-
-  for (WorkerChannel* ch : channels) {
-    ch->inflight.clear();
-    ch->task_open = true;
-  }
 
   auto live_channels = [&]() {
     std::size_t n = 0;
@@ -415,7 +416,7 @@ std::vector<CellResult> run_with_channels(
     next = tasks.size();
     requeued.clear();
     for (WorkerChannel* ch : channels) {
-      ch->task_open = false;
+      slots[ch].open = false;
       if (ch->kind() == WorkerChannel::Kind::kForkPipe && ch->pid() > 0) {
         ::kill(ch->pid(), SIGTERM);
       }
@@ -425,33 +426,33 @@ std::vector<CellResult> run_with_channels(
   std::function<void(WorkerChannel&)> send_next_task;
 
   auto handle_disconnect = [&](WorkerChannel& ch, const std::string& why) {
-    const std::vector<std::size_t> lost = ch.inflight;
-    ch.inflight.clear();
-    ch.task_open = false;
-    deadlines.disarm(&ch);
+    Slot& slot = slots[&ch];
+    const std::optional<std::size_t> lost = slot.task;
+    slot = Slot{std::nullopt, false};
+    loop.disarm(ch);
     ch.close_all();
     if (!ch.requeue_on_disconnect()) {
-      if (!lost.empty() || failure.empty()) {
+      if (lost || failure.empty()) {
         fail("sweep shard exited before finishing its cells" +
              (why.empty() ? "" : " (" + why + ")"));
       }
       return;
     }
-    for (std::size_t t : lost) {
-      if (attempts[t] >= kMaxAttempts) {
-        fail("sweep block for cell " + std::to_string(tasks[t].cell) +
+    if (lost) {
+      if (attempts[*lost] >= kMaxAttempts) {
+        fail("sweep block for cell " + std::to_string(tasks[*lost].cell) +
              " was lost by " + std::to_string(kMaxAttempts) +
              " workers in a row; giving up");
         return;
       }
-      requeued.push_back(t);
+      requeued.push_back(*lost);
     }
-    if (!lost.empty() || !why.empty()) {
+    if (lost || !why.empty()) {
       std::fprintf(stderr,
                    "[sweep] worker '%s' disconnected%s%s; requeueing %zu "
                    "block(s) onto %zu surviving worker(s)\n",
                    ch.label().c_str(), why.empty() ? "" : ": ", why.c_str(),
-                   lost.size(), live_channels());
+                   lost ? std::size_t{1} : std::size_t{0}, live_channels());
     }
     if (live_channels() == 0 &&
         (next < tasks.size() || !requeued.empty() ||
@@ -460,22 +461,22 @@ std::vector<CellResult> run_with_channels(
       return;
     }
     // Wake idle survivors for the requeued blocks. A survivor that went
-    // idle when the queue drained had task_open cleared — reopen it, or a
+    // idle when the queue drained was closed to new work — reopen it, or a
     // tail-of-sweep disconnect would strand the requeued blocks while the
     // scheduler polls idle workers forever. Forked shards whose write side
     // was already closed (EOF sent, child exiting) cannot be revived.
     if (!failure.empty()) return;
     for (WorkerChannel* other : channels) {
-      if (other->read_fd() >= 0 && other->writable() &&
-          other->inflight.empty()) {
-        other->task_open = true;
+      if (other->read_fd() >= 0 && other->writable() && !slots[other].task) {
+        slots[other].open = true;
         send_next_task(*other);
       }
     }
   };
 
   send_next_task = [&](WorkerChannel& ch) {
-    if (!ch.task_open || !ch.writable()) return;
+    Slot& slot = slots[&ch];
+    if (!slot.open || !ch.writable()) return;
     std::optional<std::size_t> t;
     if (!requeued.empty()) {
       t = requeued.front();
@@ -486,33 +487,31 @@ std::vector<CellResult> run_with_channels(
     if (!t) {
       // Queue drained. Forked shards exit on EOF (their lifetime is this
       // run); remote channels stay open for the next sweep.
-      ch.task_open = false;
+      slot.open = false;
       if (ch.kind() == WorkerChannel::Kind::kForkPipe) ch.close_write();
       return;
     }
     TaskFrame frame{tasks[*t].cell, tasks[*t].begin, tasks[*t].end};
     if (ch.send(FrameKind::kTask, encode_task(frame))) {
-      ch.inflight.push_back(*t);
+      slot.task = *t;
       ++attempts[*t];
       // The deadline clock runs only on channels whose loss the scheduler
       // survives; a wedged forked shard is a bug the hang would expose.
-      if (ch.requeue_on_disconnect()) deadlines.arm(&ch);
+      if (ch.requeue_on_disconnect()) loop.arm(ch);
     } else {
       requeued.push_front(*t);
       handle_disconnect(ch, "task send failed");
     }
   };
 
-  auto handle_frame = [&](WorkerChannel& ch, Frame frame) {
+  PeerLoop::Handlers handlers;
+  handlers.on_frame = [&](WorkerChannel& ch, Frame frame) {
     switch (frame.kind) {
       case FrameKind::kResult: {
         auto [block_begin, partial] = decode_result(frame.payload);
-        auto it = std::find_if(ch.inflight.begin(), ch.inflight.end(),
-                               [&](std::size_t t) {
-                                 return tasks[t].cell == partial.index &&
-                                        tasks[t].begin == block_begin;
-                               });
-        if (it == ch.inflight.end()) {
+        Slot& slot = slots[&ch];
+        if (!slot.task || tasks[*slot.task].cell != partial.index ||
+            tasks[*slot.task].begin != block_begin) {
           // A result this worker was never assigned (duplicate resend or a
           // confused peer) must not reach the assembler — merging it would
           // silently double-count trials. Treat the channel as broken.
@@ -520,8 +519,8 @@ std::vector<CellResult> run_with_channels(
                                     std::to_string(partial.index));
           break;
         }
-        ch.inflight.erase(it);
-        if (ch.inflight.empty()) deadlines.disarm(&ch);
+        slot.task.reset();
+        loop.disarm(ch);
         if (auto done = assembler.add(block_begin, std::move(partial))) {
           log.complete(std::move(*done));
         }
@@ -530,71 +529,27 @@ std::vector<CellResult> run_with_channels(
       }
       case FrameKind::kError:
         fail("sweep shard failed: " + frame.payload);
-        ch.task_open = false;
         break;
       default:
         break;  // stray handshake frames are harmless
     }
   };
+  handlers.on_lost = [&](WorkerChannel& ch, const std::string& why) {
+    const Slot& slot = slots[&ch];
+    if (why.empty() && !slot.task && !slot.open) return;  // clean exit
+    handle_disconnect(ch, why);
+  };
 
   for (WorkerChannel* ch : channels) send_next_task(*ch);
 
   while (failure.empty() && log.completed() < goal) {
-    std::vector<pollfd> fds;
-    std::vector<WorkerChannel*> owners;
-    for (WorkerChannel* ch : channels) {
-      if (ch->read_fd() >= 0) {
-        fds.push_back(pollfd{ch->read_fd(), POLLIN, 0});
-        owners.push_back(ch);
-      }
-    }
-    if (fds.empty()) {
+    if (live_channels() == 0) {
       fail("all sweep workers disconnected with work outstanding");
       break;
     }
-    const int rc = ::poll(fds.data(), fds.size(), deadlines.poll_timeout_ms());
-    if (rc < 0) {
-      if (errno == EINTR) continue;
+    if (!loop.wake(channels, {}, -1, handlers)) {
       fail("poll on sweep worker channels failed");
       break;
-    }
-    if (rc == 0) {
-      // Deadline wake-up: every expired peer still holding a block is
-      // dropped like a disconnect, requeueing its block onto survivors.
-      for (const void* peer : deadlines.expired()) {
-        auto* ch = static_cast<WorkerChannel*>(
-            const_cast<void*>(peer));
-        deadlines.disarm(ch);
-        if (ch->read_fd() >= 0 && !ch->inflight.empty()) {
-          handle_disconnect(*ch, "block deadline of " +
-                                     std::to_string(block_deadline_ms) +
-                                     " ms expired");
-        }
-        if (!failure.empty()) break;
-      }
-      continue;
-    }
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      if ((fds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      WorkerChannel& ch = *owners[i];
-      if (ch.read_fd() < 0) continue;  // closed while handling a peer
-      const long got = ch.pump();
-      bool disconnected = got <= 0;
-      try {
-        while (auto frame = ch.next_frame()) {
-          handle_frame(ch, std::move(*frame));
-        }
-      } catch (const std::exception& e) {
-        handle_disconnect(ch, std::string("malformed frame: ") + e.what());
-        continue;
-      }
-      if (disconnected) {
-        if (ch.inflight.empty() && !ch.task_open) {
-          ch.close_all();  // clean exit after the queue drained
-        } else {
-          handle_disconnect(ch, "");
-        }
-      }
     }
   }
 

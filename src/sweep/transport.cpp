@@ -27,11 +27,14 @@
 
 namespace h3dfact::sweep {
 
+namespace {
+constexpr int kHelloTimeoutMs = 60000;
+}  // namespace
+
 #if defined(H3DFACT_POSIX_TRANSPORT)
 
 namespace {
 
-constexpr int kHelloTimeoutMs = 60000;
 constexpr int kSpecReadyTimeoutMs = 300000;  // spec builders may simulate chips
 
 bool read_retry(int fd, char* buf, std::size_t cap, long& out) {
@@ -84,45 +87,16 @@ void set_cloexec(int fd) {
 }
 
 // Coordinator side of the version handshake: the worker's first frame must
-// be a matching Hello; answer with HelloAck.
+// be a matching sweep-worker Hello; answer with HelloAck.
 void coordinator_handshake(WorkerChannel& ch) {
   std::optional<Frame> frame = ch.await_frame(kHelloTimeoutMs);
-  if (!frame) {
-    throw std::runtime_error("sweep worker '" + ch.label() +
-                             "' disconnected before Hello");
+  std::string why = "disconnected before Hello";
+  if (frame) why = check_hello(ch, *frame, {PeerRole::kSweepWorker});
+  if (why.empty() && !ch.send(FrameKind::kHelloAck, encode_hello({}))) {
+    why = "disconnected during handshake";
   }
-  if (frame->kind != FrameKind::kHello) {
-    ch.send(FrameKind::kError, "expected Hello frame");
-    throw std::runtime_error("sweep worker '" + ch.label() +
-                             "' opened with a non-Hello frame");
-  }
-  const HelloFrame hello = decode_hello(frame->payload);
-  if (hello.magic != kProtocolMagic) {
-    ch.send(FrameKind::kError, "bad protocol magic");
-    throw std::runtime_error("peer '" + ch.label() +
-                             "' is not a sweep worker (bad magic)");
-  }
-  if (hello.version != kProtocolVersion) {
-    ch.send(FrameKind::kError,
-            "protocol version mismatch: coordinator speaks v" +
-                std::to_string(kProtocolVersion) + ", worker v" +
-                std::to_string(hello.version));
-    throw std::runtime_error(
-        "sweep worker '" + ch.label() + "' protocol version mismatch (worker v" +
-        std::to_string(hello.version) + ", coordinator v" +
-        std::to_string(kProtocolVersion) + ")");
-  }
-  if (hello.role != static_cast<std::uint32_t>(PeerRole::kSweepWorker)) {
-    ch.send(FrameKind::kError, "this endpoint drives sweep workers only");
-    throw std::runtime_error("peer '" + ch.label() +
-                             "' declared role " + std::to_string(hello.role) +
-                             ", not a sweep worker (serve peers must dial a "
-                             "ServeCoordinator)");
-  }
-  HelloFrame ack;
-  if (!ch.send(FrameKind::kHelloAck, encode_hello(ack))) {
-    throw std::runtime_error("sweep worker '" + ch.label() +
-                             "' disconnected during handshake");
+  if (!why.empty()) {
+    throw std::runtime_error("sweep worker '" + ch.label() + "' " + why);
   }
 }
 
@@ -194,9 +168,38 @@ std::vector<WorkerChannel*> bind_remote_channels(
   }
   for (WorkerChannel* ch : out) {
     await_spec_ready(*ch, binding);
-    ch->task_open = true;
   }
   return out;
+}
+
+// Execute one Task frame against `spec` and answer with its Result, or an
+// Error naming the cell. Returns the worker's exit code once it must stop
+// (0: the coordinator is gone, 1: the block failed), nullopt to go on.
+std::optional<int> answer_task(WorkerChannel& ch, const SweepSpec* spec,
+                               unsigned cell_threads, const Frame& frame) {
+  TaskFrame task{};
+  try {
+    task = decode_task(frame.payload);
+    if (spec == nullptr) {
+      throw std::runtime_error("task received before any SpecInit");
+    }
+    const CellResult r =
+        run_cell_block(*spec, static_cast<std::size_t>(task.cell),
+                       static_cast<std::size_t>(task.begin),
+                       static_cast<std::size_t>(task.end), cell_threads);
+    if (!ch.send(FrameKind::kResult,
+                 encode_result(static_cast<std::size_t>(task.begin), r))) {
+      return 0;
+    }
+    return std::nullopt;
+  } catch (const std::exception& e) {
+    ch.send(FrameKind::kError,
+            "cell " + std::to_string(task.cell) + ": " + e.what());
+  } catch (...) {
+    ch.send(FrameKind::kError,
+            "cell " + std::to_string(task.cell) + ": unknown error");
+  }
+  return 1;
 }
 
 void shutdown_and_reap(std::vector<std::unique_ptr<WorkerChannel>>& channels) {
@@ -306,23 +309,8 @@ void serve_pipe_worker(const SweepSpec& spec, unsigned cell_threads,
     if (!frame) ::_exit(0);  // parent closed the queue: done
     if (frame->kind == FrameKind::kShutdown) ::_exit(0);
     if (frame->kind != FrameKind::kTask) continue;  // pipes carry tasks only
-    TaskFrame task{};
-    try {
-      task = decode_task(frame->payload);
-      const CellResult r =
-          run_cell_block(spec, static_cast<std::size_t>(task.cell),
-                         static_cast<std::size_t>(task.begin),
-                         static_cast<std::size_t>(task.end), cell_threads);
-      ch.send(FrameKind::kResult,
-              encode_result(static_cast<std::size_t>(task.begin), r));
-    } catch (const std::exception& e) {
-      ch.send(FrameKind::kError,
-              "cell " + std::to_string(task.cell) + ": " + e.what());
-      ::_exit(1);
-    } catch (...) {
-      ch.send(FrameKind::kError,
-              "cell " + std::to_string(task.cell) + ": unknown error");
-      ::_exit(1);
+    if (auto code = answer_task(ch, &spec, cell_threads, *frame)) {
+      ::_exit(*code);
     }
   }
 }
@@ -331,37 +319,9 @@ int serve_remote_worker(int in_fd, int out_fd,
                         unsigned cell_threads_override) {
   WorkerChannel ch(WorkerChannel::Kind::kStdio, in_fd, out_fd, -1,
                    "coordinator");
-  HelloFrame hello;
-  if (!ch.send(FrameKind::kHello, encode_hello(hello))) return 2;
-
-  // First inbound frame must be the coordinator's HelloAck.
-  std::optional<Frame> ack;
-  try {
-    ack = ch.await_frame(kHelloTimeoutMs);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "[sweep_worker] handshake failed: %s\n", e.what());
-    return 2;
-  }
-  if (!ack) return 2;
-  if (ack->kind == FrameKind::kError) {
-    std::fprintf(stderr, "[sweep_worker] rejected by coordinator: %s\n",
-                 ack->payload.c_str());
-    return 2;
-  }
-  if (ack->kind != FrameKind::kHelloAck) {
-    std::fprintf(stderr, "[sweep_worker] expected HelloAck, got frame %d\n",
-                 static_cast<int>(ack->kind));
-    return 2;
-  }
-  try {
-    const HelloFrame peer = decode_hello(ack->payload);
-    if (peer.magic != kProtocolMagic || peer.version != kProtocolVersion) {
-      std::fprintf(stderr, "[sweep_worker] coordinator protocol v%u != v%u\n",
-                   peer.version, kProtocolVersion);
-      return 2;
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "[sweep_worker] bad HelloAck: %s\n", e.what());
+  const std::string refused = dial_hello(ch, PeerRole::kSweepWorker);
+  if (!refused.empty()) {
+    std::fprintf(stderr, "[sweep_worker] %s\n", refused.c_str());
     return 2;
   }
 
@@ -427,29 +387,12 @@ int serve_remote_worker(int in_fd, int out_fd,
         }
         break;
       }
-      case FrameKind::kTask: {
-        TaskFrame task{};
-        try {
-          task = decode_task(frame->payload);
-          if (!spec) {
-            throw std::runtime_error("task received before any SpecInit");
-          }
-          const CellResult r =
-              run_cell_block(*spec, static_cast<std::size_t>(task.cell),
-                             static_cast<std::size_t>(task.begin),
-                             static_cast<std::size_t>(task.end), cell_threads);
-          if (!ch.send(FrameKind::kResult,
-                       encode_result(static_cast<std::size_t>(task.begin),
-                                     r))) {
-            return 0;
-          }
-        } catch (const std::exception& e) {
-          ch.send(FrameKind::kError,
-                  "cell " + std::to_string(task.cell) + ": " + e.what());
-          return 1;
+      case FrameKind::kTask:
+        if (auto code = answer_task(ch, spec ? &*spec : nullptr,
+                                    cell_threads, *frame)) {
+          return *code;
         }
         break;
-      }
       default:
         // Hello/HelloAck replays and result-direction frames are ignored.
         break;
@@ -521,17 +464,7 @@ std::vector<WorkerChannel*> PipeTransport::bind(const SpecBinding& binding) {
   return out;
 }
 
-void PipeTransport::unbind() {
-  for (auto& ch : channels_) ch->close_write();
-  for (auto& ch : channels_) {
-    if (ch->pid() > 0) {
-      int status = 0;
-      ::waitpid(ch->pid(), &status, 0);
-    }
-    ch->close_all();
-  }
-  channels_.clear();
-}
+void PipeTransport::unbind() { shutdown_and_reap(channels_); }
 
 // --- StdioTransport ---------------------------------------------------------
 
@@ -863,5 +796,94 @@ int tcp_accept(int, int) { return -1; }
 int tcp_connect(const std::string&, int, int) { unsupported(); }
 
 #endif  // H3DFACT_POSIX_TRANSPORT
+
+// --- Hello handshake --------------------------------------------------------
+
+namespace {
+
+std::string role_name(std::uint32_t role) {
+  switch (static_cast<PeerRole>(role)) {
+    case PeerRole::kSweepWorker:
+      return "sweep worker";
+    case PeerRole::kServeClient:
+      return "serve client";
+    case PeerRole::kServeWorker:
+      return "serve worker";
+  }
+  return "unknown role " + std::to_string(role);
+}
+
+}  // namespace
+
+std::string check_hello(WorkerChannel& ch, const Frame& frame,
+                        std::initializer_list<PeerRole> roles,
+                        PeerRole* role) {
+  if (frame.kind != FrameKind::kHello) {
+    ch.send(FrameKind::kError, "expected Hello frame");
+    return "opened with a non-Hello frame";
+  }
+  HelloFrame hello;
+  try {
+    hello = decode_hello(frame.payload);
+  } catch (const std::exception& e) {
+    ch.send(FrameKind::kError, "malformed Hello");
+    return std::string("sent a malformed Hello: ") + e.what();
+  }
+  if (hello.magic != kProtocolMagic) {
+    ch.send(FrameKind::kError, "bad protocol magic");
+    return "is not an h3dfact peer (bad magic)";
+  }
+  if (hello.version != kProtocolVersion) {
+    ch.send(FrameKind::kError,
+            "protocol version mismatch: coordinator speaks v" +
+                std::to_string(kProtocolVersion) + ", peer v" +
+                std::to_string(hello.version));
+    return "protocol version mismatch (peer v" +
+           std::to_string(hello.version) + ", coordinator v" +
+           std::to_string(kProtocolVersion) + ")";
+  }
+  for (PeerRole r : roles) {
+    if (hello.role == static_cast<std::uint32_t>(r)) {
+      if (role != nullptr) *role = r;
+      return "";
+    }
+  }
+  ch.send(FrameKind::kError,
+          "this endpoint does not take " + role_name(hello.role) + " peers");
+  return "declared itself a " + role_name(hello.role) +
+         ", which this endpoint does not take";
+}
+
+std::string dial_hello(WorkerChannel& ch, PeerRole role) {
+  HelloFrame hello;
+  hello.role = static_cast<std::uint32_t>(role);
+  if (!ch.send(FrameKind::kHello, encode_hello(hello))) {
+    return "coordinator closed before Hello";
+  }
+  std::optional<Frame> ack;
+  try {
+    ack = ch.await_frame(kHelloTimeoutMs);
+  } catch (const std::exception& e) {
+    return std::string("handshake failed: ") + e.what();
+  }
+  if (!ack) return "coordinator closed during the handshake";
+  if (ack->kind == FrameKind::kError) {
+    return "rejected by coordinator: " + ack->payload;
+  }
+  if (ack->kind != FrameKind::kHelloAck) {
+    return "expected HelloAck, got frame " +
+           std::to_string(static_cast<int>(ack->kind));
+  }
+  try {
+    const HelloFrame echoed = decode_hello(ack->payload);
+    if (echoed.magic != kProtocolMagic || echoed.version != kProtocolVersion) {
+      return "coordinator protocol v" + std::to_string(echoed.version) +
+             " != v" + std::to_string(kProtocolVersion);
+    }
+  } catch (const std::exception& e) {
+    return std::string("bad HelloAck: ") + e.what();
+  }
+  return "";
+}
 
 }  // namespace h3dfact::sweep

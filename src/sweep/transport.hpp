@@ -25,6 +25,7 @@
 // which transport — or mix of transports — computed each block.
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
@@ -96,12 +97,6 @@ class WorkerChannel {
   /// Block (poll + pump) until a frame arrives, the peer disconnects
   /// (nullopt), or `timeout_ms` elapses (throws std::runtime_error).
   std::optional<Frame> await_frame(int timeout_ms);
-
-  /// Scheduler bookkeeping: queue indices of the task blocks this worker
-  /// currently owes results for.
-  std::vector<std::size_t> inflight;
-  /// Scheduler bookkeeping: channel still eligible for new assignments.
-  bool task_open = true;
 
  private:
   Kind kind_;
@@ -235,6 +230,23 @@ class CompositeTransport : public Transport {
  private:
   std::vector<std::shared_ptr<Transport>> parts_;
 };
+
+// --- Hello handshake (shared by every coordinator and every peer) -----------
+
+/// Coordinator side: `frame`, the peer's first, must be a decodable Hello
+/// with this build's magic and version that declares one of `roles`.
+/// Returns the empty string and sets `*role` on success. Otherwise the peer
+/// is sent an Error frame and the reason is returned; the caller drops it.
+/// The caller answers an accepted peer with its HelloAck.
+std::string check_hello(WorkerChannel& ch, const Frame& frame,
+                        std::initializer_list<PeerRole> roles,
+                        PeerRole* role = nullptr);
+
+/// Peer side: send a Hello declaring `role` and wait up to a minute for a
+/// HelloAck carrying this build's magic and version. Returns the empty
+/// string on success, else why the handshake failed (an Error frame, a
+/// disconnect, a timeout, or a mismatched or undecodable HelloAck).
+std::string dial_hello(WorkerChannel& ch, PeerRole role);
 
 // --- worker side ------------------------------------------------------------
 

@@ -3,8 +3,9 @@
 // parser does, and a real ServeCoordinator + serve-worker fleet on TCP
 // loopback serves requests bit-identically to sequential solves, absorbs
 // late-joining workers, requeues batches off wedged workers within the
-// configured deadline, drops malformed clients without dying, and drains
-// to a clean shutdown.
+// configured deadline (also while other peers keep its loop busy) or when
+// they close mid-batch, drops malformed clients without dying, drains to a
+// clean shutdown, and serve workers refuse a mismatched HelloAck.
 
 #include <gtest/gtest.h>
 
@@ -13,10 +14,16 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
+
+#if !defined(_WIN32)
+#include <sys/socket.h>
+#include <unistd.h>
+#endif
 
 #include "resonator/problem.hpp"
 #include "resonator/resonator.hpp"
@@ -394,6 +401,24 @@ TEST(ServeEndToEnd, LateJoiningWorkerAbsorbsQueuedRequests) {
   EXPECT_EQ(daemon.stats.completed, kRequests);
 }
 
+// Handshake `ch` as a serve worker bound to `fingerprint` and wait for the
+// first BatchTask. False (after recording a failure) if any step is off.
+bool take_first_batch(sweep::WorkerChannel& ch, std::uint64_t fingerprint) {
+  sweep::HelloFrame hello;
+  hello.role = static_cast<std::uint32_t>(sweep::PeerRole::kServeWorker);
+  ch.send(sweep::FrameKind::kHello, sweep::encode_hello(hello));
+  auto ack = ch.await_frame(10000);
+  EXPECT_TRUE(ack && ack->kind == sweep::FrameKind::kHelloAck);
+  auto init = ch.await_frame(10000);
+  EXPECT_TRUE(init && init->kind == sweep::FrameKind::kServeInit);
+  sweep::ServeReadyFrame ready;
+  ready.fingerprint = fingerprint;
+  ch.send(sweep::FrameKind::kServeReady, sweep::encode_serve_ready(ready));
+  auto task = ch.await_frame(10000);
+  EXPECT_TRUE(task && task->kind == sweep::FrameKind::kBatchTask);
+  return task && task->kind == sweep::FrameKind::kBatchTask;
+}
+
 // A worker that accepts a batch and then wedges — socket open, no answer —
 // is dropped after worker_deadline_ms and its batch requeued onto a healthy
 // worker; the reply still matches the sequential solve.
@@ -409,18 +434,8 @@ TEST(ServeEndToEnd, WedgedWorkerBatchRequeuedWithinDeadline) {
     const int fd = sweep::tcp_connect(daemon.addr(), 40, 50);
     sweep::WorkerChannel ch(sweep::WorkerChannel::Kind::kTcp, fd, fd, -1,
                             "wedged");
-    sweep::HelloFrame hello;
-    hello.role = static_cast<std::uint32_t>(sweep::PeerRole::kServeWorker);
-    ch.send(sweep::FrameKind::kHello, sweep::encode_hello(hello));
-    auto ack = ch.await_frame(10000);
-    ASSERT_TRUE(ack && ack->kind == sweep::FrameKind::kHelloAck);
-    auto init = ch.await_frame(10000);
-    ASSERT_TRUE(init && init->kind == sweep::FrameKind::kServeInit);
-    sweep::ServeReadyFrame ready;
-    ready.fingerprint = fingerprint;  // a convincing handshake...
-    ch.send(sweep::FrameKind::kServeReady, sweep::encode_serve_ready(ready));
-    auto task = ch.await_frame(10000);
-    ASSERT_TRUE(task && task->kind == sweep::FrameKind::kBatchTask);
+    // A convincing handshake...
+    if (!take_first_batch(ch, fingerprint)) return;
     wedged_got_batch.store(true);
     // ...and then silence, with the socket held OPEN: only the batch
     // deadline can recover the requests.
@@ -461,6 +476,164 @@ TEST(ServeEndToEnd, WedgedWorkerBatchRequeuedWithinDeadline) {
   EXPECT_GE(daemon.stats.workers_dropped, 1u);
   EXPECT_EQ(daemon.stats.completed, 1u);
   EXPECT_EQ(daemon.stats.failed, 0u);
+}
+
+// A worker that closes its socket while it holds a batch is dropped on the
+// EOF, and the batch is requeued onto the worker that joins afterwards.
+TEST(ServeEndToEnd, WorkerClosingMidBatchIsRequeued) {
+  const serve::ServeConfig cfg = small_config();
+  Daemon daemon(cfg);
+  std::atomic<bool> deserted{false};
+  std::thread deserter([&daemon, &deserted]() {
+    const int fd = sweep::tcp_connect(daemon.addr(), 40, 50);
+    sweep::WorkerChannel ch(sweep::WorkerChannel::Kind::kTcp, fd, fd, -1,
+                            "deserter");
+    (void)take_first_batch(ch, daemon.coord->fingerprint());
+    ch.close_all();  // gone with the batch, no answer
+    deserted.store(true);
+  });
+
+  serve::ServeClient client(daemon.addr());
+  sweep::FactorRequestFrame req;
+  req.id = 1;
+  req.trial_seed = serve::trial_stream_seed(cfg.seed, 0);
+  ASSERT_TRUE(client.send(req));
+  deserter.join();
+  ASSERT_TRUE(deserted.load());
+
+  std::thread healthy = launch_serve_worker(daemon.addr());
+  auto reply = client.await_reply(30000);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->status, sweep::ReplyStatus::kOk) << reply->error;
+  const SequentialRef ref = sequential_solve(cfg, 0, 0.0);
+  EXPECT_EQ(reply->iterations, ref.result.iterations);
+  ASSERT_EQ(reply->decoded.size(), ref.result.decoded.size());
+  for (std::size_t f = 0; f < reply->decoded.size(); ++f) {
+    EXPECT_EQ(reply->decoded[f], ref.result.decoded[f]);
+  }
+
+  ASSERT_TRUE(client.drain(30000));
+  daemon.join();
+  healthy.join();
+  EXPECT_EQ(daemon.stats.requeues, 1u);
+  EXPECT_EQ(daemon.stats.workers_dropped, 1u);
+  EXPECT_EQ(daemon.stats.completed, 1u);
+}
+
+// Deadlines expire on every wake of the coordinator's loop, not only on
+// idle timeouts: while a second client floods it (its socket is readable on
+// every wake), a wedged worker must still be dropped within its deadline
+// and its batch requeued.
+TEST(ServeEndToEnd, WedgedWorkerDroppedWhileClientsKeepTheLoopBusy) {
+  serve::ServeConfig cfg = small_config();
+  cfg.worker_deadline_ms = 300;
+  Daemon daemon(cfg);
+
+  std::atomic<bool> got_batch{false};
+  std::atomic<bool> release{false};
+  std::thread wedged([&daemon, &got_batch, &release]() {
+    const int fd = sweep::tcp_connect(daemon.addr(), 40, 50);
+    sweep::WorkerChannel ch(sweep::WorkerChannel::Kind::kTcp, fd, fd, -1,
+                            "wedged");
+    got_batch.store(take_first_batch(ch, daemon.coord->fingerprint()));
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
+
+  serve::ServeClient client(daemon.addr());
+  sweep::FactorRequestFrame req;
+  req.id = 1;
+  req.trial_seed = serve::trial_stream_seed(cfg.seed, 0);
+  ASSERT_TRUE(client.send(req));
+  while (!got_batch.load()) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+
+  // The flood: a client streaming Drain frames (idempotent after the
+  // first; the coordinator ignores their padding) far faster than one pump
+  // per wake consumes them. The drain it requests completes once the
+  // requeued batch is answered, and the coordinator's hang-up ends the
+  // flood.
+  const int flood_fd = sweep::tcp_connect(daemon.addr(), 40, 50);
+  std::thread flood([flood_fd]() {
+    sweep::HelloFrame hello;
+    hello.role = static_cast<std::uint32_t>(sweep::PeerRole::kServeClient);
+    const std::string opening = sweep::encode_frame(
+        sweep::FrameKind::kHello, sweep::encode_hello(hello));
+    std::string drains;
+    while (drains.size() < (1u << 18)) {
+      drains += sweep::encode_frame(sweep::FrameKind::kDrain,
+                                    std::string(64, 'x'));
+    }
+    if (::send(flood_fd, opening.data(), opening.size(), MSG_NOSIGNAL) < 0) {
+      return;
+    }
+    while (::send(flood_fd, drains.data(), drains.size(), MSG_NOSIGNAL) > 0) {
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  std::thread healthy = launch_serve_worker(daemon.addr());
+  const auto t0 = std::chrono::steady_clock::now();
+  bool disconnected = false;
+  std::optional<sweep::FactorReplyFrame> reply;
+  while (!reply && !disconnected &&
+         std::chrono::steady_clock::now() - t0 < std::chrono::seconds(10)) {
+    reply = client.poll_reply(100, &disconnected);
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  daemon.coord->request_stop();  // ends a flood the fix did not end
+  daemon.join();
+  release.store(true);
+  wedged.join();
+  flood.join();
+  healthy.join();
+  ::close(flood_fd);
+
+  ASSERT_TRUE(reply.has_value()) << "the wedged worker's batch never came back";
+  EXPECT_EQ(reply->status, sweep::ReplyStatus::kOk) << reply->error;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(cfg.worker_deadline_ms + 3000));
+  EXPECT_GE(daemon.stats.requeues, 1u);
+  EXPECT_GE(daemon.stats.workers_dropped, 1u);
+}
+
+// A client whose stream turns malformed (a frame header announcing more
+// than kMaxFramePayload bytes) is dropped on the header alone; the other
+// clients keep being served.
+TEST(ServeEndToEnd, OversizedFrameHeaderDropsOnlyThatClient) {
+  const serve::ServeConfig cfg = small_config();
+  Daemon daemon(cfg);
+  std::thread w = launch_serve_worker(daemon.addr());
+  serve::ServeClient client(daemon.addr());
+
+  {
+    const int fd = sweep::tcp_connect(daemon.addr(), 40, 50);
+    sweep::WorkerChannel garbler(sweep::WorkerChannel::Kind::kTcp, fd, fd, -1,
+                                 "garbler");
+    sweep::HelloFrame hello;
+    hello.role = static_cast<std::uint32_t>(sweep::PeerRole::kServeClient);
+    garbler.send(sweep::FrameKind::kHello, sweep::encode_hello(hello));
+    auto ack = garbler.await_frame(10000);
+    ASSERT_TRUE(ack && ack->kind == sweep::FrameKind::kHelloAck);
+    std::string header;
+    header.push_back(static_cast<char>(sweep::FrameKind::kFactorRequest));
+    sweep::put_u64(header, sweep::kMaxFramePayload + 1);
+    (void)!::write(fd, header.data(), header.size());
+    EXPECT_FALSE(garbler.await_frame(10000).has_value());  // hung up on
+  }
+
+  sweep::FactorRequestFrame req;
+  req.id = 1;
+  req.trial_seed = serve::trial_stream_seed(cfg.seed, 0);
+  const sweep::FactorReplyFrame reply = client.call(req, 30000);
+  EXPECT_EQ(reply.status, sweep::ReplyStatus::kOk) << reply.error;
+
+  ASSERT_TRUE(client.drain(30000));
+  daemon.join();
+  w.join();
+  EXPECT_EQ(daemon.stats.clients_seen, 2u);
+  EXPECT_EQ(daemon.stats.completed, 1u);
 }
 
 // A client that sends an undecodable FactorRequest is dropped; the
@@ -533,6 +706,32 @@ TEST(ServeEndToEnd, AdmissionRejectsBeyondQueueBound) {
   daemon.coord->request_stop();
   daemon.join();
   EXPECT_EQ(daemon.stats.rejected, 3u);  // +2 pending killed by the stop
+}
+
+// --- serve worker handshake ------------------------------------------------
+
+// The serve worker must check the HelloAck it receives, as sweep workers
+// do: a coordinator answering with another protocol version is refused
+// with exit code 2 instead of being served.
+TEST(ServeWorker, RejectsMismatchedHelloAck) {
+  const int listen_fd = sweep::tcp_listen("127.0.0.1:0");
+  const std::uint16_t port = sweep::tcp_local_port(listen_fd);
+  std::thread fake([listen_fd]() {
+    const int fd = sweep::tcp_accept(listen_fd, 10000);
+    if (fd < 0) return;
+    sweep::WorkerChannel ch(sweep::WorkerChannel::Kind::kTcp, fd, fd, -1,
+                            "fake-coordinator");
+    auto hello = ch.await_frame(10000);
+    EXPECT_TRUE(hello && hello->kind == sweep::FrameKind::kHello);
+    sweep::HelloFrame ack;
+    ack.version = sweep::kProtocolVersion + 1;
+    ch.send(sweep::FrameKind::kHelloAck, sweep::encode_hello(ack));
+  });  // the channel closes as the thread ends
+  const int fd = sweep::tcp_connect("127.0.0.1:" + std::to_string(port), 40,
+                                    50);
+  EXPECT_EQ(serve::serve_factor_worker(fd, fd), 2);
+  fake.join();
+  ::close(listen_fd);
 }
 
 #endif  // !_WIN32

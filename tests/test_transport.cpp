@@ -1,8 +1,9 @@
 // Transport-layer tests: frame parsing against malformed/truncated input,
-// the version handshake, TCP loopback sweeps bit-identical to in-process
-// execution, worker-disconnect requeueing, spec fingerprint cross-checks,
-// and the stdio (spawned subprocess) transport driving this very binary as
-// the worker.
+// the version handshake, the shared peer loop's loss rules, TCP loopback
+// sweeps bit-identical to in-process execution, worker-disconnect,
+// malformed-stream and confused-peer requeueing, spec fingerprint
+// cross-checks, and the stdio (spawned subprocess) transport driving this
+// very binary as the worker.
 //
 // This suite provides its own main: invoked with --serve-stdio it becomes a
 // sweep worker speaking the framed protocol on stdin/stdout, which is how
@@ -14,16 +15,19 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #if !defined(_WIN32)
+#include <sys/socket.h>
 #include <unistd.h>
 #endif
 
 #include "sweep/emit.hpp"
+#include "sweep/peer_loop.hpp"
 #include "sweep/protocol.hpp"
 #include "sweep/registry.hpp"
 #include "sweep/runner.hpp"
@@ -204,6 +208,77 @@ TEST(GridRegistry, FingerprintSeparatesParamsAndMatchesRebuild) {
 
 #if !defined(_WIN32)
 
+// --- peer loop --------------------------------------------------------------
+
+// Deadlines must expire on every wake, not only when poll() times out. One
+// peer floods the loop so that its socket is readable on every wake; the
+// other holds an armed deadline and stays silent. The silent one must be
+// reported lost (once) within its deadline plus slack, and the busy one
+// must never be.
+TEST(PeerLoop, DeadlinesExpireOnBusyWakes) {
+  int busy_fds[2];
+  int silent_fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, busy_fds), 0);
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, silent_fds), 0);
+  sweep::WorkerChannel busy(sweep::WorkerChannel::Kind::kTcp, busy_fds[0],
+                            busy_fds[0], -1, "busy");
+  sweep::WorkerChannel silent(sweep::WorkerChannel::Kind::kTcp,
+                              silent_fds[0], silent_fds[0], -1, "silent");
+
+  // Far more than one pump (64 KiB) per write, so bytes are always waiting.
+  std::thread firehose([fd = busy_fds[1]]() {
+    std::string burst;
+    while (burst.size() < (1u << 18)) {
+      burst += sweep::encode_frame(sweep::FrameKind::kDrain,
+                                   std::string(64, 'x'));
+    }
+    while (::send(fd, burst.data(), burst.size(), MSG_NOSIGNAL) > 0) {
+    }
+  });
+
+  constexpr int kDeadlineMs = 200;
+  sweep::PeerLoop loop(kDeadlineMs);
+  loop.arm(silent);
+  std::size_t busy_frames = 0;
+  std::size_t busy_losses = 0;
+  std::vector<std::string> silent_losses;
+  sweep::PeerLoop::Handlers handlers;
+  handlers.on_frame = [&](sweep::WorkerChannel& ch, sweep::Frame) {
+    if (&ch == &busy) ++busy_frames;
+  };
+  handlers.on_lost = [&](sweep::WorkerChannel& ch, const std::string& why) {
+    if (&ch == &silent) {
+      silent_losses.push_back(why);
+    } else {
+      ++busy_losses;
+    }
+  };
+
+  const std::vector<sweep::WorkerChannel*> channels{&busy, &silent};
+  const auto t0 = std::chrono::steady_clock::now();
+  auto elapsed = std::chrono::steady_clock::duration::zero();
+  while (silent_losses.empty() && elapsed < std::chrono::seconds(10)) {
+    ASSERT_TRUE(loop.wake(channels, {}, -1, handlers));
+    elapsed = std::chrono::steady_clock::now() - t0;
+  }
+  // More busy wakes must not report the silent peer a second time.
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(loop.wake(channels, {}, -1, handlers));
+  }
+  busy.close_all();  // the firehose's next send fails and it exits
+  firehose.join();
+  ::close(busy_fds[1]);
+  ::close(silent_fds[1]);
+
+  ASSERT_EQ(silent_losses.size(), 1u);
+  EXPECT_NE(silent_losses[0].find("deadline"), std::string::npos)
+      << silent_losses[0];
+  EXPECT_LT(elapsed, std::chrono::milliseconds(kDeadlineMs + 2000));
+  EXPECT_LT(silent.read_fd(), 0);  // closed after its loss report
+  EXPECT_EQ(busy_losses, 0u);
+  EXPECT_GT(busy_frames, 0u);
+}
+
 // --- TCP loopback -----------------------------------------------------------
 
 sweep::TcpConfig loopback_listen(unsigned workers) {
@@ -227,6 +302,27 @@ std::vector<std::thread> launch_tcp_workers(std::uint16_t port, unsigned n) {
     });
   }
   return workers;
+}
+
+// A hand-driven sweep worker: handshake on `ch`, echo the coordinator's grid
+// identity without rebuilding anything, and wait for the first block.
+// Returns that block, or nullopt after recording a test failure.
+std::optional<sweep::TaskFrame> take_first_task(sweep::WorkerChannel& ch) {
+  ch.send(sweep::FrameKind::kHello, sweep::encode_hello({}));
+  auto ack = ch.await_frame(10000);
+  EXPECT_TRUE(ack && ack->kind == sweep::FrameKind::kHelloAck);
+  auto init = ch.await_frame(10000);
+  EXPECT_TRUE(init && init->kind == sweep::FrameKind::kSpecInit);
+  if (!init || init->kind != sweep::FrameKind::kSpecInit) return std::nullopt;
+  const sweep::SpecInitFrame request = sweep::decode_spec_init(init->payload);
+  sweep::SpecReadyFrame ready;
+  ready.cell_count = request.cell_count;
+  ready.fingerprint = request.fingerprint;
+  ch.send(sweep::FrameKind::kSpecReady, sweep::encode_spec_ready(ready));
+  auto task = ch.await_frame(10000);
+  EXPECT_TRUE(task && task->kind == sweep::FrameKind::kTask);
+  if (!task || task->kind != sweep::FrameKind::kTask) return std::nullopt;
+  return sweep::decode_task(task->payload);
 }
 
 TEST(TcpTransport, LoopbackSweepBitIdenticalToInProcess) {
@@ -392,19 +488,7 @@ TEST(TcpTransport, DisconnectMidCellRequeuesOntoSurvivors) {
                                       40, 50);
     sweep::WorkerChannel ch(sweep::WorkerChannel::Kind::kTcp, fd, fd, -1,
                             "deserter");
-    ch.send(sweep::FrameKind::kHello, sweep::encode_hello({}));
-    auto ack = ch.await_frame(10000);
-    ASSERT_TRUE(ack && ack->kind == sweep::FrameKind::kHelloAck);
-    auto init = ch.await_frame(10000);
-    ASSERT_TRUE(init && init->kind == sweep::FrameKind::kSpecInit);
-    const sweep::SpecInitFrame request =
-        sweep::decode_spec_init(init->payload);
-    sweep::SpecReadyFrame ready;
-    ready.cell_count = request.cell_count;
-    ready.fingerprint = request.fingerprint;
-    ch.send(sweep::FrameKind::kSpecReady, sweep::encode_spec_ready(ready));
-    auto task = ch.await_frame(10000);  // a block is now assigned to us...
-    ASSERT_TRUE(task && task->kind == sweep::FrameKind::kTask);
+    if (!take_first_task(ch)) return;  // a block is now assigned to us...
     ch.close_all();  // ...and we vanish without answering
   });
   // Worker 2: a faithful serve loop that inherits the deserter's blocks.
@@ -449,19 +533,7 @@ TEST(TcpTransport, TailDisconnectReassignsToIdleSurvivor) {
                                       40, 50);
     sweep::WorkerChannel ch(sweep::WorkerChannel::Kind::kTcp, fd, fd, -1,
                             "tail-deserter");
-    ch.send(sweep::FrameKind::kHello, sweep::encode_hello({}));
-    auto ack = ch.await_frame(10000);
-    ASSERT_TRUE(ack && ack->kind == sweep::FrameKind::kHelloAck);
-    auto init = ch.await_frame(10000);
-    ASSERT_TRUE(init && init->kind == sweep::FrameKind::kSpecInit);
-    const sweep::SpecInitFrame request =
-        sweep::decode_spec_init(init->payload);
-    sweep::SpecReadyFrame ready;
-    ready.cell_count = request.cell_count;
-    ready.fingerprint = request.fingerprint;
-    ch.send(sweep::FrameKind::kSpecReady, sweep::encode_spec_ready(ready));
-    auto task = ch.await_frame(10000);
-    ASSERT_TRUE(task && task->kind == sweep::FrameKind::kTask);
+    if (!take_first_task(ch)) return;
     while (!others_done.load()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
@@ -512,19 +584,7 @@ TEST(TcpTransport, WedgedWorkerFailsOverWithinDeadline) {
                                       40, 50);
     sweep::WorkerChannel ch(sweep::WorkerChannel::Kind::kTcp, fd, fd, -1,
                             "wedged");
-    ch.send(sweep::FrameKind::kHello, sweep::encode_hello({}));
-    auto ack = ch.await_frame(10000);
-    ASSERT_TRUE(ack && ack->kind == sweep::FrameKind::kHelloAck);
-    auto init = ch.await_frame(10000);
-    ASSERT_TRUE(init && init->kind == sweep::FrameKind::kSpecInit);
-    const sweep::SpecInitFrame request =
-        sweep::decode_spec_init(init->payload);
-    sweep::SpecReadyFrame ready;
-    ready.cell_count = request.cell_count;
-    ready.fingerprint = request.fingerprint;
-    ch.send(sweep::FrameKind::kSpecReady, sweep::encode_spec_ready(ready));
-    auto task = ch.await_frame(10000);  // a block is now assigned to us...
-    ASSERT_TRUE(task && task->kind == sweep::FrameKind::kTask);
+    if (!take_first_task(ch)) return;  // a block is now assigned to us...
     // ...and we go silent WITHOUT closing the socket. Only the block
     // deadline can recover the assignment.
     while (!release.load()) {
@@ -559,6 +619,99 @@ TEST(TcpTransport, WedgedWorkerFailsOverWithinDeadline) {
   transport.reset();
   opt.transport.reset();
   for (auto& w : survivors) w.join();
+}
+
+// --- confused and malformed peers ------------------------------------------
+
+// Joins `bad` (which must dial `transport`'s port itself) with one faithful
+// worker, runs the unit grid, and checks every cell bit for bit against the
+// unsharded in-process run. Takes the last reference to `transport`, whose
+// destruction shuts the survivor down.
+void expect_survivor_finishes_sweep(
+    std::shared_ptr<sweep::TcpTransport> transport, std::thread& bad) {
+  const sweep::GridRef ref{kUnitGrid, {{"trials", "12"}}};
+  const sweep::SweepSpec spec = sweep::build_grid(ref);
+  const auto reference = sweep::run_sweep(spec, {});
+  auto survivors = launch_tcp_workers(transport->listen_port(), 1);
+
+  sweep::SweepOptions opt;
+  opt.transport = std::move(transport);
+  opt.grid = ref;
+  std::vector<sweep::CellResult> results;
+  try {
+    results = sweep::run_sweep(spec, opt);
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "sweep aborted: " << e.what();  // still join below
+  }
+  EXPECT_EQ(results.size(), reference.size());
+  if (results.size() == reference.size()) {
+    for (auto& r : results) r.wall_seconds = 0.0;
+    std::vector<sweep::CellResult> expected = reference;
+    for (auto& r : expected) r.wall_seconds = 0.0;
+    EXPECT_EQ(sweep::json_string(spec.name, results),
+              sweep::json_string(spec.name, expected));
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      expect_stats_equal(results[i].stats, reference[i].stats,
+                         "survivor cell " + std::to_string(i));
+    }
+  }
+
+  bad.join();
+  opt.transport.reset();
+  for (auto& w : survivors) w.join();
+}
+
+// A worker that answers with a Result for a block it was never assigned
+// and, in the same write, an Error. The scheduler drops it at the Result
+// and requeues its real block; the Error still buffered behind the Result
+// must not be handled: it would abort the whole sweep with "sweep shard
+// failed: confused peer" although the survivor can finish it.
+TEST(TcpTransport, ConfusedWorkerDroppedBeforeItsBufferedError) {
+  register_unit_grid();
+  auto transport = std::make_shared<sweep::TcpTransport>(loopback_listen(2));
+  std::thread confused([port = transport->listen_port()]() {
+    const int fd = sweep::tcp_connect("127.0.0.1:" + std::to_string(port),
+                                      40, 50);
+    sweep::WorkerChannel ch(sweep::WorkerChannel::Kind::kTcp, fd, fd, -1,
+                            "confused");
+    const auto task = take_first_task(ch);
+    if (!task) return;
+    sweep::CellResult bogus;  // right cell, a block offset never assigned
+    bogus.index = static_cast<std::size_t>(task->cell);
+    const std::string burst =
+        sweep::encode_frame(sweep::FrameKind::kResult,
+                            sweep::encode_result(
+                                static_cast<std::size_t>(task->begin) + 1,
+                                bogus)) +
+        sweep::encode_frame(sweep::FrameKind::kError, "confused peer");
+    (void)!::write(fd, burst.data(), burst.size());
+    while (ch.await_frame(30000)) {
+    }  // linger until the coordinator hangs up
+  });
+  expect_survivor_finishes_sweep(std::move(transport), confused);
+}
+
+// A worker whose stream turns malformed (a frame header announcing more
+// than kMaxFramePayload bytes) is dropped on the header alone, and its
+// block is requeued onto the survivor.
+TEST(TcpTransport, OversizedFrameHeaderDropsWorkerAndRequeues) {
+  register_unit_grid();
+  auto transport = std::make_shared<sweep::TcpTransport>(loopback_listen(2));
+  std::thread garbler([port = transport->listen_port()]() {
+    const int fd = sweep::tcp_connect("127.0.0.1:" + std::to_string(port),
+                                      40, 50);
+    sweep::WorkerChannel ch(sweep::WorkerChannel::Kind::kTcp, fd, fd, -1,
+                            "garbler");
+    if (!take_first_task(ch)) return;
+    std::string header;
+    header.push_back(static_cast<char>(sweep::FrameKind::kResult));
+    sweep::put_u64(header, sweep::kMaxFramePayload + 1);
+    (void)!::write(fd, header.data(), header.size());
+    char buf[256];
+    while (::read(fd, buf, sizeof buf) > 0) {
+    }  // linger until the coordinator hangs up
+  });
+  expect_survivor_finishes_sweep(std::move(transport), garbler);
 }
 
 // --- stdio transport (real exec path) ---------------------------------------
