@@ -30,7 +30,6 @@
 #include "hdc/hypervector.hpp"
 #include "hdc/kernels/backend.hpp"
 #include "hdc/kernels/capability.hpp"
-#include "hdc/kernels/thread_pool.hpp"
 #include "resonator/batched.hpp"
 #include "resonator/channels.hpp"
 #include "resonator/resonator.hpp"
@@ -213,55 +212,6 @@ void BM_FactorizeBatched(benchmark::State& state) {
                           static_cast<std::int64_t>(batch));
 }
 BENCHMARK(BM_FactorizeBatched)->Args({256, 16});
-
-// --- engine-level threading (args: {M, batch, threads; 0 = auto}) ---------
-// One ExactMvmEngine pass (similarity_batch + project_batch over the same
-// factor) at a pinned pool size. Compare the threads=1 row against the
-// threads=0 (auto = hardware) row at equal {M, batch}: the ratio is the
-// intra-engine threading win the kernel pool buys on this host. Results are
-// bit-identical across rows by the pool's determinism contract, so the
-// comparison is pure wall time.
-void BM_EngineMvmBatchThreads(benchmark::State& state) {
-  util::Rng rng(10);
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const auto batch = static_cast<std::size_t>(state.range(1));
-  const auto threads = static_cast<unsigned>(state.range(2));
-  auto set = std::make_shared<hdc::CodebookSet>(1024, 1, m, rng);
-  resonator::ExactMvmEngine engine(set);
-  auto us = random_queries(1024, batch, rng);
-  hdc::kernels::set_kernel_threads(threads);
-  util::Rng call_rng(11);
-  for (auto _ : state) {
-    hdc::CoeffBlock sims = engine.similarity_batch(0, us, call_rng);
-    benchmark::DoNotOptimize(engine.project_batch(0, sims, call_rng));
-  }
-  hdc::kernels::set_kernel_threads(0);  // restore env/auto sizing
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(m * batch) * 1024 * 2);
-}
-BENCHMARK(BM_EngineMvmBatchThreads)
-    ->Args({512, 64, 1})
-    ->Args({512, 64, 2})
-    ->Args({512, 64, 0});
-
-void BM_SimilarityBatchThreads(benchmark::State& state) {
-  util::Rng rng(12);
-  const auto m = static_cast<std::size_t>(state.range(0));
-  const auto batch = static_cast<std::size_t>(state.range(1));
-  const auto threads = static_cast<unsigned>(state.range(2));
-  hdc::Codebook cb(1024, m, rng);
-  auto us = random_queries(1024, batch, rng);
-  hdc::kernels::set_kernel_threads(threads);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cb.similarity_batch(us));
-  }
-  hdc::kernels::set_kernel_threads(0);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(m * batch) * 1024);
-}
-BENCHMARK(BM_SimilarityBatchThreads)
-    ->Args({512, 64, 1})
-    ->Args({512, 64, 0});
 
 void BM_SignActivation(benchmark::State& state) {
   util::Rng rng(4);

@@ -10,12 +10,10 @@
 // All arithmetic routes through the multi-ISA kernel backend layer
 // (scalar/SSE2/AVX2/AVX-512/NEON, capability-scored at runtime): see
 // hdc/kernels/backend.hpp. Batched entry points additionally consult the
-// kernel policy (per-call vs tiled crossover) and fan large passes across
-// the process-wide KernelPool — bit-identical at any thread count by the
-// pool's determinism contract.
+// kernel policy (per-call vs tiled crossover). Every pass runs on the
+// calling thread; local parallelism lives in sweep shards and trial threads.
 #include "hdc/kernels/backend.hpp"
 #include "hdc/kernels/policy.hpp"
-#include "hdc/kernels/thread_pool.hpp"
 
 namespace h3dfact::hdc {
 
@@ -159,31 +157,14 @@ CoeffBlock Codebook::similarity_batch(
   // rows stays L1-hot while every query of the batch is scored against it.
   // Either shape computes each sims[m][q] with the same exact integer
   // arithmetic, so the choice never changes results.
-  const kernels::KernelPolicy& policy = kernels::active_policy();
-  const bool tiled = kernels::use_tiled(policy, kB);
-  auto score_rows = [&](std::size_t m_begin, std::size_t m_end) {
-    if (!tiled) {
-      backend.similarity_tile(packed_data() + m_begin * words_, words_,
-                              m_end - m_begin, queries.data(), kB, words_,
-                              static_cast<long long>(dim_),
-                              a.data.data() + m_begin * kB, kB);
-      return;
-    }
-    constexpr std::size_t kRowTile = 8;
-    for (std::size_t m0 = m_begin; m0 < m_end; m0 += kRowTile) {
-      const std::size_t m1 = std::min(m0 + kRowTile, m_end);
-      backend.similarity_tile(packed_data() + m0 * words_, words_, m1 - m0,
-                              queries.data(), kB, words_,
-                              static_cast<long long>(dim_),
-                              a.data.data() + m0 * kB, kB);
-    }
-  };
-  // Row ranges write disjoint sims rows, so the pool's determinism contract
-  // applies directly; small passes stay inline to skip the wake-up cost.
-  if (kM * kB * words_ >= policy.parallel_min_work) {
-    kernels::KernelPool::instance().parallel_for(kM, score_rows);
-  } else {
-    score_rows(0, kM);
+  const std::size_t row_tile =
+      kernels::use_tiled(kernels::active_policy(), kB) ? 8 : kM;
+  for (std::size_t m0 = 0; m0 < kM; m0 += row_tile) {
+    const std::size_t m1 = std::min(m0 + row_tile, kM);
+    backend.similarity_tile(packed_data() + m0 * words_, words_, m1 - m0,
+                            queries.data(), kB, words_,
+                            static_cast<long long>(dim_),
+                            a.data.data() + m0 * kB, kB);
   }
   return a;
 }
@@ -203,37 +184,10 @@ CoeffBlock Codebook::project_batch(
   // Batch-major scratch keeps each item's accumulator contiguous for the
   // row-axpy kernel; a dense row services the whole batch while L1-hot.
   std::vector<int> scratch(kB * dim_, 0);
-  const kernels::KernelPolicy& policy = kernels::active_policy();
   const std::size_t kM = vectors_.size();
-  if (kM * kB * dim_ >= policy.parallel_min_work && kB >= 2) {
-    // Batch sub-ranges own disjoint batch-major scratch regions; within a
-    // range the m-loop order is the sequential one, so accumulation order
-    // per element is unchanged at any thread count.
-    kernels::KernelPool::instance().parallel_for(
-        kB, [&](std::size_t b0, std::size_t b1) {
-          for (std::size_t m = 0; m < kM; ++m) {
-            backend.project_tile(dense_.data() + m * dim_, dim_,
-                                 coeffs.data.data() + m * kB + b0, b1 - b0,
-                                 scratch.data() + b0 * dim_);
-          }
-        });
-  } else if (kM * kB * dim_ >= policy.parallel_min_work) {
-    // Single-item batch: slice the accumulator dimension instead, each
-    // chunk running the same row-axpy sequence over its own span.
-    kernels::KernelPool::instance().parallel_for(
-        dim_, [&](std::size_t d0, std::size_t d1) {
-          for (std::size_t m = 0; m < kM; ++m) {
-            const int c = coeffs.data[m * kB];
-            if (c == 0) continue;
-            backend.axpy_row(c, dense_.data() + m * dim_ + d0,
-                             scratch.data() + d0, d1 - d0);
-          }
-        });
-  } else {
-    for (std::size_t m = 0; m < kM; ++m) {
-      backend.project_tile(dense_.data() + m * dim_, dim_,
-                           coeffs.data.data() + m * kB, kB, scratch.data());
-    }
+  for (std::size_t m = 0; m < kM; ++m) {
+    backend.project_tile(dense_.data() + m * dim_, dim_,
+                         coeffs.data.data() + m * kB, kB, scratch.data());
   }
   for (std::size_t d = 0; d < dim_; ++d) {
     for (std::size_t b = 0; b < kB; ++b) {

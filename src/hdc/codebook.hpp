@@ -102,10 +102,9 @@ class Codebook {
 
   /// Batched a_b = Xᵀ u_b over the shared codebook: the kernel policy
   /// (hdc/kernels/policy.hpp) picks per-call vs blocked-tile loop shape by
-  /// batch size, and passes above the policy's work threshold fan codebook
-  /// row ranges across the KernelPool (SIMD-accelerated where the CPU
-  /// supports it at runtime; bit-identical at any thread count). Returns an
-  /// M×B block; item b is bit-for-bit equal to similarity(us[b]).
+  /// batch size (SIMD-accelerated where the CPU supports it at runtime).
+  /// Returns an M×B block; item b is bit-for-bit equal to
+  /// similarity(us[b]).
   [[nodiscard]] CoeffBlock similarity_batch(
       std::span<const BipolarVector> us) const;
 
@@ -115,10 +114,8 @@ class Codebook {
       const kernels::KernelBackend& backend) const;
 
   /// Batched y_b = X a_b: each dense codebook row is streamed once and
-  /// applied to all batch accumulators; large passes fan batch sub-ranges
-  /// (or dimension slices when B == 1) across the KernelPool, bit-identical
-  /// at any thread count. `coeffs.size == size()`. Returns a D×B block;
-  /// item b is bit-for-bit equal to project(coeffs.item(b)).
+  /// applied to all batch accumulators. `coeffs.size == size()`. Returns a
+  /// D×B block; item b is bit-for-bit equal to project(coeffs.item(b)).
   [[nodiscard]] CoeffBlock project_batch(const CoeffBlock& coeffs) const;
 
   /// project_batch() pinned to one kernel backend.

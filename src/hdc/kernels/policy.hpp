@@ -1,7 +1,6 @@
 #pragma once
-// Kernel selection policy: capability-scored backend choice, the per-call
-// vs tiled crossover for the batched similarity path, and the work
-// threshold below which the engine-level worker pool stays cold. Replaces
+// Kernel selection policy: capability-scored backend choice and the
+// per-call vs tiled crossover for the batched similarity path. Replaces
 // the first-match dispatch table (the bug class where avx512 would win on
 // any machine that lists it, even where 512-bit downclocking makes AVX2
 // faster) with an explicit, unit-testable scoring function over
@@ -37,16 +36,11 @@ enum class TileMode {
 
 /// The tuning knobs the kernel layer consults per call. Defaults are the
 /// measured table from docs/kernels.md (AVX2 dev host, dim 1024): the tiled
-/// path overtakes per-call at batch 4, and threading starts paying for its
-/// fan-out/join at roughly one codebook pass of 2^18 word-ops.
+/// path overtakes per-call at batch 4.
 struct KernelPolicy {
   TileMode tile_mode = TileMode::kAuto;
   /// Batch size (query count) at or above which kAuto picks the tiled path.
   std::size_t tile_crossover_batch = 4;
-  /// Minimum per-call work (rows * words-per-row * queries for similarity,
-  /// rows * dim for projection) before a batched call fans out across the
-  /// worker pool. Below it the fan-out/join overhead exceeds the win.
-  std::size_t parallel_min_work = 1u << 18;
 };
 
 /// The policy every kernel call consults: a force_policy() override if one

@@ -2,8 +2,6 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <istream>
 #include <map>
@@ -13,33 +11,16 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/json_text.hpp"
 #include "util/parse.hpp"
 
 namespace h3dfact::sweep {
 
 namespace {
 
-// %g keeps integers clean ("40", not "40.000000") while preserving enough
-// digits for the statistics; the emitters are golden-file-tested, so the
-// format must never depend on locale or platform printf quirks.
-std::string fmt_g(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
-
-// Sample values must survive a JSON round trip exactly (the artifact is
-// the sweep checkpoint): integral doubles — iteration counts in practice —
-// print without exponent truncation, anything else at full precision.
-std::string fmt_exact(double v) {
-  char buf[64];
-  if (std::nearbyint(v) == v && std::fabs(v) < 9.007199254740992e15) {
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-  }
-  return buf;
-}
+using util::fmt_exact;
+using util::fmt_g;
+using util::json_quote;
 
 std::string csv_quote(const std::string& s) {
   if (s.find_first_of(",\"\n\r") == std::string::npos) return s;
@@ -47,29 +28,6 @@ std::string csv_quote(const std::string& s) {
   for (char c : s) {
     if (c == '"') out += "\"\"";
     else out += c;
-  }
-  out += '"';
-  return out;
-}
-
-std::string json_quote(const std::string& s) {
-  std::string out = "\"";
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
   }
   out += '"';
   return out;
@@ -270,8 +228,19 @@ struct JsonValue {
     }
     return number;
   }
-  [[nodiscard]] std::size_t uint() const {
-    return static_cast<std::size_t>(num());
+  // Counts and indices: only an integer in [0, 2^53) has an exact size_t,
+  // and casting any other double to one is undefined.
+  [[nodiscard]] std::size_t uint(const std::string& field) const {
+    const double x = num();
+    if (!(x >= 0.0 && x < 9.007199254740992e15 && std::nearbyint(x) == x)) {
+      throw std::runtime_error("field '" + field +
+                               "': expected an integer in [0, 2^53), got " +
+                               fmt_exact(x));
+    }
+    return static_cast<std::size_t>(x);
+  }
+  [[nodiscard]] std::size_t uint_at(const std::string& key) const {
+    return at(key).uint(key);
   }
   [[nodiscard]] const std::string& str() const {
     if (kind != Kind::kString) {
@@ -331,9 +300,17 @@ class JsonParser {
     return false;
   }
 
-  JsonValue value() {
+  // Containers nest by recursion, so an outside document could exhaust
+  // the stack; the emitter writes 3 levels, so 64 rejects only hostile
+  // input.
+  static constexpr int kMaxDepth = 64;
+
+  JsonValue value(int depth = 0) {
     const char c = peek();
     JsonValue v;
+    if ((c == '{' || c == '[') && depth == kMaxDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+    }
     switch (c) {
       case '{': {
         v.kind = JsonValue::Kind::kObject;
@@ -342,7 +319,7 @@ class JsonParser {
         do {
           std::string key = string_token();
           expect(':');
-          v.members.emplace_back(std::move(key), value());
+          v.members.emplace_back(std::move(key), value(depth + 1));
         } while (consume(','));
         expect('}');
         return v;
@@ -352,7 +329,7 @@ class JsonParser {
         ++pos_;
         if (consume(']')) return v;
         do {
-          v.items.push_back(value());
+          v.items.push_back(value(depth + 1));
         } while (consume(','));
         expect(']');
         return v;
@@ -455,7 +432,7 @@ class JsonParser {
 
 CellResult cell_from_json(const JsonValue& v) {
   CellResult r;
-  r.index = v.at("index").uint();
+  r.index = v.uint_at("index");
   for (const auto& [axis, label] : v.at("coordinates").members) {
     r.coordinates.emplace_back(axis, label.str());
   }
@@ -466,11 +443,11 @@ CellResult cell_from_json(const JsonValue& v) {
     r.meta[k] = val.str();
   }
   const JsonValue& config = v.at("config");
-  r.dim = config.at("dim").uint();
-  r.factors = config.at("factors").uint();
-  r.codebook_size = config.at("codebook_size").uint();
-  r.trials = config.at("trials").uint();
-  r.max_iterations = config.at("max_iterations").uint();
+  r.dim = config.uint_at("dim");
+  r.factors = config.uint_at("factors");
+  r.codebook_size = config.uint_at("codebook_size");
+  r.trials = config.uint_at("trials");
+  r.max_iterations = config.uint_at("max_iterations");
   r.query_flip_prob = config.at("query_flip_prob").num();
   // The seed is emitted as a string to protect its 64-bit range from
   // double-precision JSON consumers.
@@ -483,10 +460,10 @@ CellResult cell_from_json(const JsonValue& v) {
   r.seed = *seed;
 
   const JsonValue& stats = v.at("stats");
-  r.stats.trials = stats.at("trials").uint();
-  r.stats.solved = stats.at("solved").uint();
-  r.stats.correct = stats.at("correct").uint();
-  r.stats.cycles = stats.at("cycles").uint();
+  r.stats.trials = stats.uint_at("trials");
+  r.stats.solved = stats.uint_at("solved");
+  r.stats.correct = stats.uint_at("correct");
+  r.stats.cycles = stats.uint_at("cycles");
   for (const JsonValue& x : v.at("iteration_samples").items) {
     r.stats.iteration_samples.push_back(x.num());
   }
@@ -494,10 +471,11 @@ CellResult cell_from_json(const JsonValue& v) {
   // run's own construction (bit-identical merge downstream).
   for (double x : r.stats.iteration_samples) r.stats.iterations_solved.add(x);
   for (const JsonValue& x : v.at("correct_by_iteration").items) {
-    r.stats.correct_by_iteration.push_back(x.uint());
+    r.stats.correct_by_iteration.push_back(x.uint("correct_by_iteration"));
   }
   for (const JsonValue& x : v.at("correct_raw_by_iteration").items) {
-    r.stats.correct_raw_by_iteration.push_back(x.uint());
+    r.stats.correct_raw_by_iteration.push_back(
+        x.uint("correct_raw_by_iteration"));
   }
   r.wall_seconds = v.at("wall_seconds").num();
   return r;

@@ -109,27 +109,32 @@ std::string encode_frame(FrameKind kind, std::string_view payload) {
 }
 
 void FrameParser::feed(const char* data, std::size_t n) {
+  if (head_ > 0 && head_ >= buffered()) {
+    buf_.erase(0, head_);
+    head_ = 0;
+  }
   buf_.append(data, n);
 }
 
 std::optional<Frame> FrameParser::next() {
-  if (buf_.size() < 9) return std::nullopt;
-  const auto kind = static_cast<std::uint8_t>(buf_[0]);
+  if (buffered() < 9) return std::nullopt;
+  const char* at = buf_.data() + head_;
+  const auto kind = static_cast<std::uint8_t>(at[0]);
   if (!valid_kind(kind)) {
     throw std::runtime_error("malformed sweep frame: unknown kind " +
                              std::to_string(kind));
   }
-  WireReader header{std::string_view(buf_.data() + 1, 8)};
+  WireReader header{std::string_view(at + 1, 8)};
   const std::uint64_t payload_len = header.u64();
   if (payload_len > kMaxFramePayload) {
     throw std::runtime_error("malformed sweep frame: payload length " +
                              std::to_string(payload_len) + " exceeds limit");
   }
-  if (buf_.size() < 9 + payload_len) return std::nullopt;
+  if (buffered() < 9 + payload_len) return std::nullopt;
   Frame frame;
   frame.kind = static_cast<FrameKind>(kind);
-  frame.payload.assign(buf_.data() + 9, static_cast<std::size_t>(payload_len));
-  buf_.erase(0, 9 + static_cast<std::size_t>(payload_len));
+  frame.payload.assign(at + 9, static_cast<std::size_t>(payload_len));
+  head_ += 9 + static_cast<std::size_t>(payload_len);
   return frame;
 }
 

@@ -140,11 +140,15 @@ class FrameParser {
   void feed(const char* data, std::size_t n);
   /// Pop the next complete frame, if one is buffered.
   std::optional<Frame> next();
-  /// Bytes currently buffered (for tests and diagnostics).
-  [[nodiscard]] std::size_t buffered() const { return buf_.size(); }
+  /// Unread bytes currently buffered (for tests and diagnostics).
+  [[nodiscard]] std::size_t buffered() const { return buf_.size() - head_; }
 
  private:
   std::string buf_;
+  /// Start of the unread bytes in buf_. next() only advances it; feed()
+  /// drops the consumed prefix once it is no shorter than the unread tail,
+  /// so a pump of many small frames costs linear, not quadratic, copying.
+  std::size_t head_ = 0;
 };
 
 // --- payload codecs ---------------------------------------------------------

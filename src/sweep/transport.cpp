@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
@@ -272,11 +273,22 @@ long WorkerChannel::pump() {
 std::optional<Frame> WorkerChannel::next_frame() { return parser_.next(); }
 
 std::optional<Frame> WorkerChannel::await_frame(int timeout_ms) {
+  // One deadline for the whole wait: neither a partial read nor EINTR
+  // restarts it, so a peer trickling a byte per interval still times out.
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point until =
+      Clock::now() + std::chrono::milliseconds(std::max(timeout_ms, 0));
   for (;;) {
     if (auto frame = parser_.next()) return frame;
     if (read_fd_ < 0) return std::nullopt;
+    int left = -1;
+    if (timeout_ms >= 0) {
+      const auto ms = std::chrono::ceil<std::chrono::milliseconds>(
+          until - Clock::now()).count();
+      left = ms > 0 ? static_cast<int>(ms) : 0;
+    }
     pollfd pfd{read_fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, timeout_ms);
+    const int rc = ::poll(&pfd, 1, left);
     if (rc < 0) {
       if (errno == EINTR) continue;
       return std::nullopt;

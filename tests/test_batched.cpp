@@ -13,8 +13,6 @@
 
 #include "cim/engine.hpp"
 #include "hdc/codebook.hpp"
-#include "hdc/kernels/policy.hpp"
-#include "hdc/kernels/thread_pool.hpp"
 #include "resonator/batched.hpp"
 #include "resonator/channels.hpp"
 #include "resonator/resonator.hpp"
@@ -297,98 +295,6 @@ TEST(BatchedFactorizer, MatchesSequentialAsynchronousStochasticRuns) {
   ASSERT_EQ(results.size(), problems.size());
   for (std::size_t i = 0; i < problems.size(); ++i) {
     expect_same_result(sequential[i], results[i], i);
-  }
-}
-
-// Restore pool sizing and policy defaults even when an assert fires.
-struct PoolGuard {
-  ~PoolGuard() {
-    h3dfact::hdc::kernels::set_kernel_threads(0);
-    h3dfact::hdc::kernels::reset_policy();
-  }
-};
-
-// The engine-level threading contract: one ExactMvmEngine driven through
-// the KernelPool at 1, 2 and 8 threads must produce the batched results of
-// the sequential pass bit for bit (the pool's determinism contract, proven
-// at the engine layer rather than the primitive layer).
-TEST(ThreadedEngine, ExactEngineBitIdenticalAcrossThreadCounts) {
-  PoolGuard guard;
-  namespace kernels = h3dfact::hdc::kernels;
-  util::Rng rng(1001);
-  auto set = std::make_shared<hdc::CodebookSet>(1024, 3, 24, rng);
-  resonator::ExactMvmEngine engine(set);
-  auto us = random_queries(1024, 9, rng);
-  std::vector<std::vector<int>> items(9, std::vector<int>(24));
-  for (auto& item : items) {
-    for (auto& c : item) c = static_cast<int>(rng.range(-9, 9));
-  }
-  const hdc::CoeffBlock coeffs = hdc::CoeffBlock::from_items(items);
-
-  // Always fan out so even this test-sized pass exercises the pool.
-  kernels::KernelPolicy policy;
-  policy.parallel_min_work = 1;
-  kernels::force_policy(policy);
-
-  kernels::set_kernel_threads(1);
-  util::Rng ref_rng(55);
-  const auto sim_want = engine.similarity_batch(0, us, ref_rng);
-  const auto proj_want = engine.project_batch(0, coeffs, ref_rng);
-
-  for (const unsigned threads : {2u, 8u}) {
-    kernels::set_kernel_threads(threads);
-    EXPECT_EQ(kernels::kernel_threads(), threads);
-    util::Rng run_rng(55);
-    EXPECT_EQ(engine.similarity_batch(0, us, run_rng).data, sim_want.data)
-        << "threads=" << threads;
-    EXPECT_EQ(engine.project_batch(0, coeffs, run_rng).data, proj_want.data)
-        << "threads=" << threads;
-  }
-}
-
-// Full factorization through the batched front-end: thread count must not
-// perturb a single bit of any trajectory (solved flags, iteration counts,
-// decoded indices all replay).
-TEST(ThreadedEngine, BatchedFactorizerBitIdenticalAcrossThreadCounts) {
-  PoolGuard guard;
-  namespace kernels = h3dfact::hdc::kernels;
-  util::Rng rng(1102);
-  auto set = std::make_shared<hdc::CodebookSet>(512, 3, 8, rng);
-  resonator::ProblemGenerator gen(set);
-
-  resonator::ResonatorOptions opts;
-  opts.update = resonator::UpdateMode::kSynchronous;
-  opts.max_iterations = 60;
-  opts.record_correct_trace = true;
-
-  std::vector<resonator::FactorizationProblem> problems;
-  std::vector<std::uint64_t> seeds;
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    util::Rng prng(1200 + i);
-    problems.push_back(gen.sample(prng));
-    seeds.push_back(3100 + 7 * i);
-  }
-
-  kernels::KernelPolicy policy;
-  policy.parallel_min_work = 1;
-  kernels::force_policy(policy);
-
-  auto run_at = [&](unsigned threads) {
-    kernels::set_kernel_threads(threads);
-    resonator::BatchedFactorizer batched(set, opts);
-    std::vector<util::Rng> rngs;
-    for (std::uint64_t s : seeds) rngs.emplace_back(s);
-    util::Rng device_rng(9);
-    return batched.run(problems, rngs, device_rng);
-  };
-
-  const auto want = run_at(1);
-  for (const unsigned threads : {2u, 8u}) {
-    const auto got = run_at(threads);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      expect_same_result(want[i], got[i], i);
-    }
   }
 }
 

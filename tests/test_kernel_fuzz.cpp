@@ -1,8 +1,8 @@
 // Differential kernel fuzzing: every compiled-in backend against the scalar
 // reference, bit-identity as the oracle, over seeded randomized adversarial
 // shapes — vector-width tails, 0/1-row tiles, max-width rows, misaligned
-// base pointers — and the full forced-backend × forced-thread-count matrix
-// for the codebook entry points. The suite is deterministic (util::Rng with
+// base pointers — and the full forced-backend × forced-tile-mode matrix for
+// the codebook entry points. The suite is deterministic (util::Rng with
 // fixed seeds), so a failure names a reproducible (backend, shape) pair;
 // bump the rep counts locally to fuzz harder, the shapes stay covered.
 //
@@ -16,14 +16,13 @@
 //   similarity_tile  nrows ∈ {0, 1, tile±1}, nq ∈ {0, 1, many}, strides
 //                    larger than the row width (padded layouts).
 //   project_tile     batch ∈ {0, 1, many}, all-zero coefficient rows.
-//   codebook paths   per-call vs tiled policy × 1/2/8 pool threads: the
-//                    engine-level fan-out must be bit-identical to the
-//                    sequential pass under every combination.
+//   codebook paths   every backend × per-call vs tiled policy: the batched
+//                    entry points must be bit-identical to the scalar
+//                    per-call pass under every combination.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
@@ -34,7 +33,6 @@
 #include "hdc/hypervector.hpp"
 #include "hdc/kernels/backend.hpp"
 #include "hdc/kernels/policy.hpp"
-#include "hdc/kernels/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -66,12 +64,11 @@ std::vector<std::int8_t> random_row(std::size_t n, Rng& rng) {
   return r;
 }
 
-// Restore live dispatch / policy / pool sizing even when an assert fires.
+// Restore live dispatch / policy even when an assert fires.
 struct FuzzEnvGuard {
   ~FuzzEnvGuard() {
     kernels::reset_backend();
     kernels::reset_policy();
-    kernels::set_kernel_threads(0);
   }
 };
 
@@ -206,14 +203,13 @@ TEST(KernelFuzz, ProjectTileDegenerateBatches) {
 }
 
 // The end-to-end oracle: codebook batched paths under the full forced
-// (backend × policy × thread-count) matrix, differenced against the
-// sequential scalar pass. This is the determinism guarantee the threaded
-// ExactMvmEngine rides on, fuzzed at the layer that actually fans out.
+// (backend × policy) matrix, differenced against the scalar per-call pass.
+// This is the determinism guarantee the batched ExactMvmEngine rides on.
 TEST(KernelFuzz, CodebookPathsBitIdenticalUnderForcedMatrix) {
   FuzzEnvGuard guard;
   Rng rng(0xF0220006);
   // dim 1031 (not a multiple of any vector width) × 37 rows; batch sizes
-  // straddle the tile crossover (4) and the pool's chunking.
+  // straddle the tile crossover (4).
   const std::size_t dim = 1031;
   Codebook cb(dim, 37, rng);
   for (const std::size_t batch : {1u, 3u, 4u, 9u}) {
@@ -227,63 +223,28 @@ TEST(KernelFuzz, CodebookPathsBitIdenticalUnderForcedMatrix) {
     }
     const CoeffBlock coeffs = CoeffBlock::from_items(items);
 
-    // Reference: scalar backend, per-call shape, single thread.
+    // Reference: scalar backend, per-call shape.
     kernels::force_backend("scalar");
     kernels::KernelPolicy ref_policy;
     ref_policy.tile_mode = kernels::TileMode::kPerCall;
-    ref_policy.parallel_min_work = ~std::size_t{0};  // never fan out
     kernels::force_policy(ref_policy);
-    kernels::set_kernel_threads(1);
     const CoeffBlock sim_want = cb.similarity_batch(us);
     const CoeffBlock proj_want = cb.project_batch(coeffs);
 
     for (const KernelBackend* backend : fuzz_backends()) {
       for (const kernels::TileMode mode :
            {kernels::TileMode::kPerCall, kernels::TileMode::kTiled}) {
-        for (const unsigned threads : {1u, 2u, 8u}) {
-          kernels::force_backend(backend->name);
-          kernels::KernelPolicy policy;
-          policy.tile_mode = mode;
-          policy.parallel_min_work = 1;  // always fan out when threads > 1
-          kernels::force_policy(policy);
-          kernels::set_kernel_threads(threads);
-          const std::string leg = std::string(backend->name) + " mode=" +
-                                  (mode == kernels::TileMode::kTiled
-                                       ? "tiled"
-                                       : "percall") +
-                                  " threads=" + std::to_string(threads) +
-                                  " batch=" + std::to_string(batch);
-          ASSERT_EQ(cb.similarity_batch(us).data, sim_want.data) << leg;
-          ASSERT_EQ(cb.project_batch(coeffs).data, proj_want.data) << leg;
-        }
-      }
-    }
-  }
-}
-
-// The pool itself under fuzzed job shapes: chunk boundaries must tile
-// [0, n) exactly (no gap, no overlap) for any (n, threads) the codebook
-// paths can produce — proven by marking every index exactly once.
-TEST(KernelFuzz, ParallelForTilesEveryIndexExactlyOnce) {
-  FuzzEnvGuard guard;
-  Rng rng(0xF0220007);
-  auto& pool = kernels::KernelPool::instance();
-  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
-    kernels::set_kernel_threads(threads);
-    for (int rep = 0; rep < 20; ++rep) {
-      const std::size_t n = static_cast<std::size_t>(rng.range(0, 3000));
-      std::vector<std::atomic<int>> hits(n);
-      for (auto& h : hits) h.store(0);
-      pool.parallel_for(n, [&](std::size_t begin, std::size_t end) {
-        ASSERT_LE(begin, end);
-        ASSERT_LE(end, n);
-        for (std::size_t i = begin; i < end; ++i) {
-          hits[i].fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(hits[i].load(), 1)
-            << "threads=" << threads << " n=" << n << " i=" << i;
+        kernels::force_backend(backend->name);
+        kernels::KernelPolicy policy;
+        policy.tile_mode = mode;
+        kernels::force_policy(policy);
+        const std::string leg = std::string(backend->name) + " mode=" +
+                                (mode == kernels::TileMode::kTiled
+                                     ? "tiled"
+                                     : "percall") +
+                                " batch=" + std::to_string(batch);
+        ASSERT_EQ(cb.similarity_batch(us).data, sim_want.data) << leg;
+        ASSERT_EQ(cb.project_batch(coeffs).data, proj_want.data) << leg;
       }
     }
   }

@@ -15,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -24,7 +23,6 @@
 #include <thread>
 #include <vector>
 
-#include "hdc/kernels/thread_pool.hpp"
 #include "serve/serving.hpp"
 #include "sweep/protocol.hpp"
 #include "sweep/transport.hpp"
@@ -146,97 +144,6 @@ TEST(SyncStress, CondVarProducerConsumerDeliversEveryItem) {
 
   util::MutexLock lock(shared.sum_mutex);
   EXPECT_EQ(shared.consumed_sum, expected);
-}
-
-// --- kernel worker pool under contention ------------------------------------
-
-// Many external threads hammer the same process-wide KernelPool at once.
-// Exactly one caller at a time wins the exclusive lock and orchestrates the
-// workers; every loser must run its whole range inline. Each call's output
-// must be complete regardless of which path served it — and TSan gets real
-// interleavings of the claim loop, the job hand-off, and the inline
-// fallback all racing each other.
-TEST(KernelPoolStress, ConcurrentParallelForCallersEachGetCompleteResults) {
-  namespace kernels = h3dfact::hdc::kernels;
-  kernels::set_kernel_threads(4);
-  auto& pool = kernels::KernelPool::instance();
-
-  constexpr int kCallers = 8;
-  constexpr int kCallsPerCaller = 50;
-  constexpr std::size_t kN = 4096;
-
-  std::atomic<long> failures{0};
-  std::vector<std::thread> callers;
-  callers.reserve(kCallers);
-  for (int c = 0; c < kCallers; ++c) {
-    callers.emplace_back([&, c]() {
-      std::vector<int> out(kN);
-      for (int call = 0; call < kCallsPerCaller; ++call) {
-        const int tag = c * kCallsPerCaller + call;
-        std::fill(out.begin(), out.end(), -1);
-        pool.parallel_for(kN, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) {
-            out[i] = tag + static_cast<int>(i % 7);
-          }
-        });
-        for (std::size_t i = 0; i < kN; ++i) {
-          if (out[i] != tag + static_cast<int>(i % 7)) {
-            failures.fetch_add(1);
-            break;
-          }
-        }
-      }
-    });
-  }
-  for (auto& th : callers) th.join();
-  EXPECT_EQ(failures.load(), 0);
-  kernels::set_kernel_threads(0);  // restore env/auto sizing
-}
-
-// Nested parallel_for from inside a pool-served body: the inner call must
-// take the inline fallback (the exclusive lock is held by the outer job),
-// never deadlock, and still produce complete results. Resizes race the
-// traffic from a separate thread to cover set_threads' stop/restart path.
-TEST(KernelPoolStress, NestedCallsAndResizesStayDeadlockFree) {
-  namespace kernels = h3dfact::hdc::kernels;
-  kernels::set_kernel_threads(3);
-  auto& pool = kernels::KernelPool::instance();
-
-  std::atomic<bool> stop_resizer{false};
-  std::thread resizer([&]() {
-    unsigned n = 2;
-    while (!stop_resizer.load()) {
-      kernels::set_kernel_threads(n);
-      n = (n % 4) + 1;
-      std::this_thread::yield();
-    }
-  });
-
-  constexpr std::size_t kOuter = 64;
-  constexpr std::size_t kInner = 512;
-  for (int rep = 0; rep < 30; ++rep) {
-    std::vector<std::atomic<int>> inner_sums(kOuter);
-    for (auto& s : inner_sums) s.store(0);
-    pool.parallel_for(kOuter, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t o = begin; o < end; ++o) {
-        std::vector<int> inner(kInner, 0);
-        pool.parallel_for(kInner, [&](std::size_t b, std::size_t e) {
-          for (std::size_t i = b; i < e; ++i) inner[i] = 1;
-        });
-        int sum = 0;
-        for (int v : inner) sum += v;
-        inner_sums[o].store(sum);
-      }
-    });
-    for (std::size_t o = 0; o < kOuter; ++o) {
-      ASSERT_EQ(inner_sums[o].load(), static_cast<int>(kInner))
-          << "rep=" << rep << " outer=" << o;
-    }
-  }
-
-  stop_resizer.store(true);
-  resizer.join();
-  kernels::set_kernel_threads(0);
 }
 
 #if !defined(_WIN32)

@@ -395,6 +395,55 @@ TEST(SweepEmit, JsonRoundTripsThroughReader) {
                std::runtime_error);
 }
 
+// The checkpoint reader takes files from outside the process: a count that
+// is negative, fractional or past 2^53 has no size_t and must be refused by
+// field name (the old cast was undefined behaviour).
+TEST(SweepEmit, JsonReaderRejectsNonIntegerCounts) {
+  const std::string emitted = sweep::json_string("golden", golden_results());
+  const std::string index_field = "\"index\": 0,";
+  const std::size_t at = emitted.find(index_field);
+  ASSERT_NE(at, std::string::npos);
+  for (const char* bad : {"-1", "1e300", "2.5", "9007199254740992"}) {
+    std::string text = emitted;
+    text.replace(at, index_field.size(),
+                 std::string("\"index\": ") + bad + ",");
+    try {
+      (void)sweep::read_json_string(text, "ckpt.json");
+      ADD_FAILURE() << "accepted index " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("'index'"), std::string::npos)
+          << e.what();
+    }
+  }
+  // Array elements are counts too.
+  const std::string counts = "\"correct_by_iteration\": []";
+  const std::size_t c = emitted.find(counts);
+  ASSERT_NE(c, std::string::npos);
+  std::string text = emitted;
+  text.insert(c + counts.size() - 1, "-3");
+  EXPECT_THROW(
+      {
+        try {
+          (void)sweep::read_json_string(text);
+        } catch (const std::runtime_error& e) {
+          EXPECT_NE(std::string(e.what()).find("correct_by_iteration"),
+                    std::string::npos)
+              << e.what();
+          throw;
+        }
+      },
+      std::runtime_error);
+}
+
+// Nesting is bounded: deep input throws instead of exhausting the stack.
+TEST(SweepEmit, JsonReaderCapsNestingDepth) {
+  EXPECT_THROW((void)sweep::read_json_string(std::string(2000000, '[')),
+               std::runtime_error);
+  std::string deep = "{\"sweep\": \"x\", \"cells\": []}";
+  for (int i = 0; i < 100; ++i) deep = "[" + deep + "]";
+  EXPECT_THROW((void)sweep::read_json_string(deep), std::runtime_error);
+}
+
 // --- cell filter + checkpoint resume ----------------------------------------
 
 TEST(SweepRunner, CellFilterRunsOnlySelectedCells) {

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -112,6 +113,60 @@ TEST(FrameParser, RejectsOversizedPayloadLength) {
   parser.feed(bogus.data(), bogus.size());
   // The length field alone condemns the stream: no need to wait for 1 GiB.
   EXPECT_THROW((void)parser.next(), std::runtime_error);
+}
+
+// The parser keeps a read offset instead of erasing each frame from the
+// front: split points anywhere, feeds interleaved with partial drains, and
+// a 1 MiB pump of empty frames must all come out in order, leaving
+// buffered() at exactly the unread byte count.
+TEST(FrameParser, ReadOffsetSurvivesSplitsInterleavingAndLongPumps) {
+  std::string stream;
+  std::vector<std::string> payloads;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    payloads.push_back(sweep::encode_task({i, i, i + 1}));
+    stream += sweep::encode_frame(sweep::FrameKind::kTask, payloads.back());
+  }
+  stream += sweep::encode_frame(sweep::FrameKind::kDrain, "");
+  for (std::size_t split = 0; split <= stream.size(); ++split) {
+    sweep::FrameParser parser;
+    std::size_t popped = 0;
+    auto drain = [&] {
+      while (auto frame = parser.next()) {
+        ASSERT_LT(popped, payloads.size() + 1) << "split " << split;
+        if (popped < payloads.size()) {
+          EXPECT_EQ(frame->kind, sweep::FrameKind::kTask);
+          EXPECT_EQ(frame->payload, payloads[popped]) << "split " << split;
+        } else {
+          EXPECT_EQ(frame->kind, sweep::FrameKind::kDrain);
+        }
+        ++popped;
+      }
+    };
+    parser.feed(stream.data(), split);
+    drain();
+    // The rest arrives in 5-byte dribbles, each drained right away.
+    for (std::size_t at = split; at < stream.size(); at += 5) {
+      parser.feed(stream.data() + at,
+                  std::min<std::size_t>(5, stream.size() - at));
+      drain();
+    }
+    EXPECT_EQ(popped, payloads.size() + 1) << "split " << split;
+    EXPECT_EQ(parser.buffered(), 0u) << "split " << split;
+  }
+
+  const std::string empty = sweep::encode_frame(sweep::FrameKind::kDrain, "");
+  std::string pump;
+  while (pump.size() < (std::size_t{1} << 20)) pump += empty;
+  sweep::FrameParser parser;
+  parser.feed(pump.data(), pump.size());
+  std::size_t popped = 0;
+  while (auto frame = parser.next()) {
+    ASSERT_EQ(frame->kind, sweep::FrameKind::kDrain);
+    ++popped;
+    ASSERT_EQ(parser.buffered(), pump.size() - popped * empty.size());
+  }
+  EXPECT_EQ(popped, pump.size() / empty.size());
+  EXPECT_EQ(parser.buffered(), 0u);
 }
 
 TEST(Protocol, TruncatedPayloadsThrowTyped) {
@@ -277,6 +332,37 @@ TEST(PeerLoop, DeadlinesExpireOnBusyWakes) {
   EXPECT_LT(silent.read_fd(), 0);  // closed after its loss report
   EXPECT_EQ(busy_losses, 0u);
   EXPECT_GT(busy_frames, 0u);
+}
+
+// await_frame's timeout bounds the whole wait, not the gap between reads: a
+// peer trickling one byte of a never-completing frame every timeout/2 ms
+// must still time out once, within the timeout plus slack. (A per-read
+// timeout would wait out the whole 3 s trickle instead.)
+TEST(WorkerChannel, AwaitFrameTimesOutUnderTrickledBytes) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  sweep::WorkerChannel ch(sweep::WorkerChannel::Kind::kTcp, fds[0], fds[0],
+                          -1, "trickler");
+  constexpr int kTimeoutMs = 200;
+  constexpr std::size_t kTrickleBytes = 30;
+  // A Drain header promising a 4 KiB payload the peer never finishes.
+  const std::string stream = sweep::encode_frame(sweep::FrameKind::kDrain,
+                                                 std::string(4096, 'x'));
+  std::atomic<bool> stop{false};
+  std::thread trickler([&, fd = fds[1]]() {
+    for (std::size_t i = 0; i < kTrickleBytes && !stop.load(); ++i) {
+      if (::send(fd, stream.data() + i, 1, MSG_NOSIGNAL) != 1) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(kTimeoutMs / 2));
+    }
+  });
+
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)ch.await_frame(kTimeoutMs), std::runtime_error);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  stop.store(true);
+  trickler.join();
+  ::close(fds[1]);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(kTimeoutMs + 1000));
 }
 
 // --- TCP loopback -----------------------------------------------------------
