@@ -6,10 +6,10 @@ express (docs/static-analysis.md):
 
   raw-poll     ::poll() may appear only in sweep/peer_loop.cpp, the one
                multi-peer event loop both coordinators drive (deadlines
-               checked on every wake), and in the single-fd bounded waits
-               of the sweep transport and serve client. Everything else
-               must route blocking waits through those layers so no call
-               site can block forever.
+               checked on every wake), and in sweep/transport.cpp, home of
+               the single-fd deadline wait (WorkerChannel::wait_frame) and
+               the TCP accept. Everything else must route blocking waits
+               through those layers so no call site can block forever.
   raw-parse    The strto*/ato*/sto*/sscanf families may appear only in
                src/util/parse.hpp, the single strict-parse choke point.
                Raw use silently accepts " 14", "1e4"-as-int and partial
@@ -27,6 +27,10 @@ express (docs/static-analysis.md):
                choke point (docs/serialization.md). Ad-hoc binary
                readers skip the magic/version/digest validation that
                makes corrupt files a typed error instead of UB.
+  platform-guard
+               No _WIN32/_WIN64 test in src/: the library is POSIX-only
+               (its local sweep workers need fork and socketpair), so a
+               guard could only hide an untested second code path.
   pragma-once  Every header under src/ opens with #pragma once as its
                first non-comment line.
 
@@ -58,9 +62,8 @@ FIXTURE_DIR = Path(__file__).resolve().parent / "lint_fixtures"
 # ---------------------------------------------------------------------------
 
 # Files allowed to call ::poll directly: the shared peer loop (per-peer
-# deadlines) and the single-fd waits, each bounded by a timeout.
+# deadlines) and the transport's single-fd waits, each bounded by a timeout.
 POLL_ALLOWLIST = {
-    "src/serve/client.cpp",
     "src/sweep/peer_loop.cpp",
     "src/sweep/transport.cpp",
 }
@@ -133,6 +136,13 @@ RULES = [
                    "the H3DA artifact container (io::ArtifactWriter / "
                    "io::Artifact::load) so files carry magic, version and "
                    "digests",
+    },
+    {
+        "id": "platform-guard",
+        "pattern": re.compile(r"(?<![\w])_WIN(?:32|64)\b"),
+        "allow": set(),
+        "message": "platform guard in src/; the library is POSIX-only, so "
+                   "write the POSIX code unguarded",
     },
 ]
 

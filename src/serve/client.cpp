@@ -1,14 +1,11 @@
 #include "serve/serving.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <deque>
 #include <memory>
 #include <stdexcept>
 #include <utility>
-
-#if !defined(_WIN32)
-#include <poll.h>
-#endif
 
 #include "sweep/transport.hpp"
 
@@ -22,6 +19,31 @@ struct ServeClient::Impl {
   std::unique_ptr<WorkerChannel> ch;
   std::deque<sweep::FactorReplyFrame> buffered;
   bool drain_acked = false;
+
+  std::optional<sweep::FactorReplyFrame> pop_buffered() {
+    if (buffered.empty()) return std::nullopt;
+    sweep::FactorReplyFrame reply = std::move(buffered.front());
+    buffered.pop_front();
+    return reply;
+  }
+
+  // Route one coordinator frame: a reply is returned, a Drain ack is
+  // remembered for drain(), an Error throws, anything else is ignored.
+  std::optional<sweep::FactorReplyFrame> dispatch(const Frame& frame) {
+    switch (frame.kind) {
+      case FrameKind::kFactorReply:
+        return sweep::decode_factor_reply(frame.payload);
+      case FrameKind::kDrain:
+        drain_acked = true;
+        break;
+      case FrameKind::kError:
+        throw std::runtime_error("serve client: coordinator error: " +
+                                 frame.payload);
+      default:
+        break;
+    }
+    return std::nullopt;
+  }
 };
 
 ServeClient::ServeClient(const std::string& addr, int retries, int retry_ms)
@@ -43,74 +65,29 @@ bool ServeClient::send(const sweep::FactorRequestFrame& req) {
 
 std::optional<sweep::FactorReplyFrame> ServeClient::await_reply(
     int timeout_ms) {
-  if (!impl_->buffered.empty()) {
-    sweep::FactorReplyFrame reply = std::move(impl_->buffered.front());
-    impl_->buffered.pop_front();
-    return reply;
-  }
+  if (auto reply = impl_->pop_buffered()) return reply;
   for (;;) {
     std::optional<Frame> frame = impl_->ch->await_frame(timeout_ms);
     if (!frame) return std::nullopt;
-    switch (frame->kind) {
-      case FrameKind::kFactorReply:
-        return sweep::decode_factor_reply(frame->payload);
-      case FrameKind::kDrain:
-        impl_->drain_acked = true;  // stray ack; remember it for drain()
-        break;
-      case FrameKind::kError:
-        throw std::runtime_error("serve client: coordinator error: " +
-                                 frame->payload);
-      default:
-        break;
-    }
+    if (auto reply = impl_->dispatch(*frame)) return reply;
   }
 }
 
 std::optional<sweep::FactorReplyFrame> ServeClient::poll_reply(
     int timeout_ms, bool* disconnected) {
   if (disconnected != nullptr) *disconnected = false;
-#if defined(_WIN32)
-  (void)timeout_ms;
-  if (disconnected != nullptr) *disconnected = true;
-  return std::nullopt;
-#else
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point until =
-      Clock::now() + std::chrono::milliseconds(timeout_ms < 0 ? 0 : timeout_ms);
+  if (auto reply = impl_->pop_buffered()) return reply;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(std::max(timeout_ms, 0));
   for (;;) {
-    if (!impl_->buffered.empty()) {
-      sweep::FactorReplyFrame reply = std::move(impl_->buffered.front());
-      impl_->buffered.pop_front();
-      return reply;
+    bool timed_out = false;
+    std::optional<Frame> frame = impl_->ch->wait_frame(deadline, &timed_out);
+    if (!frame) {
+      if (disconnected != nullptr) *disconnected = !timed_out;
+      return std::nullopt;
     }
-    while (std::optional<Frame> frame = impl_->ch->next_frame()) {
-      switch (frame->kind) {
-        case FrameKind::kFactorReply:
-          return sweep::decode_factor_reply(frame->payload);
-        case FrameKind::kDrain:
-          impl_->drain_acked = true;
-          break;
-        case FrameKind::kError:
-          throw std::runtime_error("serve client: coordinator error: " +
-                                   frame->payload);
-        default:
-          break;
-      }
-    }
-    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
-        until - Clock::now()).count();
-    struct pollfd pfd{impl_->ch->read_fd(), POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, left > 0 ? static_cast<int>(left) : 0);
-    if (rc > 0) {
-      if (impl_->ch->pump() <= 0) {  // EOF or read error
-        if (disconnected != nullptr) *disconnected = true;
-        return std::nullopt;
-      }
-      continue;
-    }
-    if (Clock::now() >= until) return std::nullopt;
+    if (auto reply = impl_->dispatch(*frame)) return reply;
   }
-#endif
 }
 
 sweep::FactorReplyFrame ServeClient::call(const sweep::FactorRequestFrame& req,
@@ -130,20 +107,10 @@ bool ServeClient::drain(int timeout_ms) {
   while (!impl_->drain_acked) {
     std::optional<Frame> frame = impl_->ch->await_frame(timeout_ms);
     if (!frame) return false;
-    switch (frame->kind) {
-      case FrameKind::kDrain:
-        impl_->drain_acked = true;
-        break;
-      case FrameKind::kFactorReply:
-        // Replies for requests still in flight when we drained; keep them
-        // available for a caller that still wants to await_reply() them.
-        impl_->buffered.push_back(sweep::decode_factor_reply(frame->payload));
-        break;
-      case FrameKind::kError:
-        throw std::runtime_error("serve client: coordinator error: " +
-                                 frame->payload);
-      default:
-        break;
+    // Replies for requests still in flight when we drained stay available
+    // for a caller that still wants to await_reply() them.
+    if (auto reply = impl_->dispatch(*frame)) {
+      impl_->buffered.push_back(*std::move(reply));
     }
   }
   return true;

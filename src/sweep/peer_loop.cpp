@@ -6,7 +6,6 @@
 #include <optional>
 #include <utility>
 
-#if !defined(_WIN32)
 #include <poll.h>
 
 namespace h3dfact::sweep {
@@ -98,5 +97,3 @@ void PeerLoop::lose(WorkerChannel& ch, const std::string& why,
 }
 
 }  // namespace h3dfact::sweep
-
-#endif  // !_WIN32

@@ -171,8 +171,6 @@ std::string encode_spec_init(const SpecInitFrame& init) {
   put_u64(out, init.cell_threads);
   put_u64(out, init.cell_count);
   put_u64(out, init.fingerprint);
-  put_str(out, init.artifact_path);
-  put_u64(out, init.artifact_fingerprint);
   return out;
 }
 
@@ -188,8 +186,6 @@ SpecInitFrame decode_spec_init(std::string_view payload) {
   init.cell_threads = in.u64();
   init.cell_count = in.u64();
   init.fingerprint = in.u64();
-  init.artifact_path = in.str();
-  init.artifact_fingerprint = in.u64();
   if (!in.exhausted()) {
     throw std::runtime_error("malformed sweep spec-init: trailing bytes");
   }

@@ -1,30 +1,24 @@
 #include "sweep/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <exception>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <stdexcept>
-#include <thread>
 
 #include "sweep/emit.hpp"
 #include "sweep/peer_loop.hpp"
 #include "sweep/protocol.hpp"
 #include "sweep/transport.hpp"
-#include "util/sync.hpp"
+#include "util/parse.hpp"
 
-#if !defined(_WIN32)
-#define H3DFACT_SWEEP_HAS_FORK 1
 #include <signal.h>  // NOLINT(modernize-deprecated-headers) — POSIX kill()
-#endif
 
 namespace h3dfact::sweep {
 
@@ -120,8 +114,7 @@ class CellAssembler {
 
 // Collects completed cells (checkpoint-resumed ones pre-seeded), drives the
 // progress callback with resume-aware counts and keeps the checkpoint file
-// current. NOT thread-safe: the thread path serializes calls with its own
-// mutex; the channel scheduler is single-threaded.
+// current. Only the (single-threaded) channel scheduler calls it.
 class CompletionLog {
  public:
   CompletionLog(const SweepOptions& options, std::string sweep_name,
@@ -294,88 +287,15 @@ std::vector<CellResult> load_checkpoint(const SweepSpec& spec,
   return doc.cells;
 }
 
-// --- in-process execution (1 worker, fallback, and non-POSIX) ---------------
+// --- the scheduler ---------------------------------------------------------
 
-// State shared by the whole worker pool. The queue head is a lock-free
-// atomic; everything else is written only under `mutex`, and GUARDED_BY
-// makes the Clang CI legs reject any unlocked access at compile time.
-struct ThreadPoolShared {
-  util::Mutex mutex;
-  CellAssembler assembler GUARDED_BY(mutex);
-  CompletionLog& log GUARDED_BY(mutex);
-  std::exception_ptr error GUARDED_BY(mutex);
-  std::atomic<std::size_t> next{0};
-
-  ThreadPoolShared(const SweepSpec& spec, const std::vector<std::size_t>& cells,
-                   CompletionLog& completion)
-      : assembler(spec, cells), log(completion) {}
-};
-
-std::vector<CellResult> run_with_threads(const SweepSpec& spec,
-                                         const SweepOptions& options,
-                                         const std::vector<std::size_t>& cells,
-                                         unsigned shards,
-                                         CompletionLog& log) {
-  const unsigned cell_threads = effective_cell_threads(options, shards);
-  const std::vector<Task> tasks = build_tasks(spec, cells, shards);
-
-  ThreadPoolShared shared(spec, cells, log);
-
-  auto worker = [&]() {
-    for (;;) {
-      const std::size_t t = shared.next.fetch_add(1);
-      if (t >= tasks.size()) break;
-      CellResult partial;
-      try {
-        partial = run_block(spec, tasks[t].cell, tasks[t].begin, tasks[t].end,
-                            cell_threads);
-      } catch (const std::exception& e) {
-        // Same failure shape as the process pool: the cell index and reason.
-        throw std::runtime_error("sweep shard failed: cell " +
-                                 std::to_string(tasks[t].cell) + ": " +
-                                 e.what());
-      }
-      util::MutexLock lock(shared.mutex);
-      if (auto done = shared.assembler.add(tasks[t].begin,
-                                           std::move(partial))) {
-        shared.log.complete(std::move(*done));
-      }
-    }
-  };
-  auto guarded = [&]() {
-    try {
-      worker();
-    } catch (...) {
-      util::MutexLock lock(shared.mutex);
-      if (!shared.error) shared.error = std::current_exception();
-      shared.next.store(tasks.size());  // drain the queue so peers stop early
-    }
-  };
-
-  if (shards <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(shards);
-    for (unsigned i = 0; i < shards; ++i) pool.emplace_back(guarded);
-    for (auto& th : pool) th.join();
-    util::MutexLock lock(shared.mutex);
-    if (shared.error) std::rethrow_exception(shared.error);
-  }
-  util::MutexLock lock(shared.mutex);
-  return shared.log.take();
-}
-
-// --- transport-generic scheduler -------------------------------------------
-
-#if defined(H3DFACT_SWEEP_HAS_FORK)
-
-// Drives any mix of WorkerChannels (forked shards, stdio subprocesses, TCP
-// workers) from one dynamic queue through the shared PeerLoop. One task in
-// flight per channel: the next block is assigned the moment a result lands,
-// so fast workers naturally take more of the queue. Remote losses requeue;
-// shard losses and worker-reported errors abort. A remote channel that
-// holds a block past `block_deadline_ms` without answering is lost like a
+// The one sweep scheduler. Drives any mix of WorkerChannels (local shards,
+// forked or threads; stdio subprocesses; TCP workers) from one dynamic
+// queue through the shared PeerLoop. One task in flight per channel: the
+// next block is assigned the moment a result lands, so fast workers
+// naturally take more of the queue. Remote losses requeue; local shard
+// losses and worker-reported errors abort. A remote channel that holds a
+// block past `block_deadline_ms` without answering is lost like a
 // disconnect; 0 disables the deadline.
 std::vector<CellResult> run_with_channels(
     const SweepSpec& spec, const std::vector<std::size_t>& cells,
@@ -409,15 +329,16 @@ std::vector<CellResult> run_with_channels(
     return n;
   };
 
-  // First failure wins; stop assigning and terminate local children
+  // First failure wins; stop assigning and terminate forked children
   // promptly — one may be hours into a block whose sweep is already doomed.
+  // A thread shard finishes its block; unbind() then joins it.
   auto fail = [&](std::string msg) {
     if (failure.empty()) failure = std::move(msg);
     next = tasks.size();
     requeued.clear();
     for (WorkerChannel* ch : channels) {
       slots[ch].open = false;
-      if (ch->kind() == WorkerChannel::Kind::kForkPipe && ch->pid() > 0) {
+      if (ch->kind() == WorkerChannel::Kind::kLocal && ch->pid() > 0) {
         ::kill(ch->pid(), SIGTERM);
       }
     }
@@ -463,8 +384,8 @@ std::vector<CellResult> run_with_channels(
     // Wake idle survivors for the requeued blocks. A survivor that went
     // idle when the queue drained was closed to new work — reopen it, or a
     // tail-of-sweep disconnect would strand the requeued blocks while the
-    // scheduler polls idle workers forever. Forked shards whose write side
-    // was already closed (EOF sent, child exiting) cannot be revived.
+    // scheduler polls idle workers forever. Local shards whose write side
+    // was already closed (EOF sent, worker exiting) cannot be revived.
     if (!failure.empty()) return;
     for (WorkerChannel* other : channels) {
       if (other->read_fd() >= 0 && other->writable() && !slots[other].task) {
@@ -485,10 +406,10 @@ std::vector<CellResult> run_with_channels(
       t = next++;
     }
     if (!t) {
-      // Queue drained. Forked shards exit on EOF (their lifetime is this
+      // Queue drained. Local shards exit on EOF (their lifetime is this
       // run); remote channels stay open for the next sweep.
       slot.open = false;
-      if (ch.kind() == WorkerChannel::Kind::kForkPipe) ch.close_write();
+      if (ch.kind() == WorkerChannel::Kind::kLocal) ch.close_write();
       return;
     }
     TaskFrame frame{tasks[*t].cell, tasks[*t].begin, tasks[*t].end};
@@ -496,7 +417,7 @@ std::vector<CellResult> run_with_channels(
       slot.task = *t;
       ++attempts[*t];
       // The deadline clock runs only on channels whose loss the scheduler
-      // survives; a wedged forked shard is a bug the hang would expose.
+      // survives; a wedged local shard is a bug the hang would expose.
       if (ch.requeue_on_disconnect()) loop.arm(ch);
     } else {
       requeued.push_front(*t);
@@ -561,8 +482,6 @@ std::vector<CellResult> run_with_channels(
   return log.take();
 }
 
-#endif  // H3DFACT_SWEEP_HAS_FORK
-
 std::vector<std::size_t> all_cells(std::size_t total) {
   std::vector<std::size_t> cells(total);
   for (std::size_t i = 0; i < total; ++i) cells[i] = i;
@@ -601,12 +520,15 @@ std::vector<std::size_t> parse_cell_filter(const std::string& expr,
                                   "': expected a cell index at position " +
                                   std::to_string(pos));
     }
-    std::size_t v = 0;
-    while (pos < expr.size() && expr[pos] >= '0' && expr[pos] <= '9') {
-      v = v * 10 + static_cast<std::size_t>(expr[pos] - '0');
-      ++pos;
+    const std::size_t start = pos;
+    while (pos < expr.size() && expr[pos] >= '0' && expr[pos] <= '9') ++pos;
+    const std::string digits = expr.substr(start, pos - start);
+    const std::optional<std::uint64_t> v = util::parse_u64(digits);
+    if (!v) {
+      throw std::out_of_range("cell filter '" + expr + "' references cell " +
+                              digits + ", which overflows a cell index");
     }
-    return v;
+    return static_cast<std::size_t>(*v);
   };
   while (pos < expr.size()) {
     const std::size_t lo = parse_number();
@@ -679,57 +601,40 @@ std::vector<CellResult> SweepRunner::run() const {
                     selected.size());
   if (selected.empty()) return log.take();
 
-#if defined(H3DFACT_SWEEP_HAS_FORK)
-  const bool want_remote = options_.transport != nullptr;
-  const bool want_processes = options_.use_processes && nshards > 1;
-  if (want_remote || want_processes) {
-    // Bind remote workers first so the forked shards can close the remote
-    // fds they inherit.
-    std::vector<WorkerChannel*> channels;
-    std::unique_ptr<PipeTransport> pipe;
-    struct Unbinder {
-      Transport* remote = nullptr;
-      PipeTransport* local = nullptr;
-      ~Unbinder() {
-        if (local != nullptr) local->unbind();
-        if (remote != nullptr) remote->unbind();
-      }
-    } unbinder;
-
-    if (want_remote) {
-      SpecBinding binding;
-      binding.spec = &spec_;
-      binding.ref = options_.grid;
-      binding.cell_threads = options_.threads_per_cell;
-      binding.cell_count = total;
-      binding.fingerprint = spec_fingerprint(spec_);
-      channels = options_.transport->bind(binding);
-      unbinder.remote = options_.transport.get();
+  // One channel list: remote workers first, so the forked shards can close
+  // the remote fds they inherit, then the local shards. A single shard
+  // stays home when remote workers carry the run.
+  struct RemoteUnbind {
+    Transport* transport = nullptr;
+    ~RemoteUnbind() {
+      if (transport != nullptr) transport->unbind();
     }
-    if (want_processes) {
-      SpecBinding binding;
-      binding.spec = &spec_;
-      binding.cell_threads = effective_cell_threads(options_, nshards);
-      for (WorkerChannel* ch : channels) {
-        binding.close_in_child.push_back(ch->read_fd());
-      }
-      pipe = std::make_unique<PipeTransport>(nshards);
-      auto local = pipe->bind(binding);
-      channels.insert(channels.end(), local.begin(), local.end());
-      unbinder.local = pipe.get();
-    }
-    if (!channels.empty()) {
-      return run_with_channels(spec_, selected, channels, log,
-                               options_.block_deadline_ms);
-    }
-    // fork unavailable (resource limits, sandbox): same queue on threads.
-  }
-#else
+  } remote_unbind;
+  std::vector<WorkerChannel*> channels;
   if (options_.transport != nullptr) {
-    throw std::runtime_error("remote sweep transports require POSIX");
+    SpecBinding binding;
+    binding.spec = &spec_;
+    binding.ref = options_.grid;
+    binding.cell_threads = options_.threads_per_cell;
+    binding.cell_count = total;
+    binding.fingerprint = spec_fingerprint(spec_);
+    channels = options_.transport->bind(binding);
+    remote_unbind.transport = options_.transport.get();
   }
-#endif
-  return run_with_threads(spec_, options_, selected, nshards, log);
+  // Declared after remote_unbind, so its destructor stops the local shards
+  // before the remote transport unbinds.
+  PipeTransport local(channels.empty() || nshards > 1 ? nshards : 0,
+                      options_.use_processes);
+  SpecBinding binding;
+  binding.spec = &spec_;
+  binding.cell_threads = effective_cell_threads(options_, nshards);
+  for (WorkerChannel* ch : channels) {
+    binding.close_in_child.push_back(ch->read_fd());
+  }
+  const std::vector<WorkerChannel*> shards = local.bind(binding);
+  channels.insert(channels.end(), shards.begin(), shards.end());
+  return run_with_channels(spec_, selected, channels, log,
+                           options_.block_deadline_ms);
 }
 
 std::vector<CellResult> run_sweep(const SweepSpec& spec,

@@ -6,12 +6,13 @@
 // from a dynamic longest-first queue to whichever worker finishes first and
 // merged with the partition-invariant TrialStats::merge_block, so the
 // statistics are bit-identical for every worker count and schedule — only
-// the wall clock changes. Workers reach the queue through a Transport
-// (transport.hpp):
+// the wall clock changes. Every worker is a WorkerChannel that one
+// scheduler drives through the shared PeerLoop (transport.hpp):
 //
-//   * default           — forked shard processes over pipes (PipeTransport),
-//                         falling back to in-process threads where fork is
-//                         unavailable or SweepOptions::use_processes is off;
+//   * local shards      — PipeTransport: forked processes over pipes, or
+//                         std::threads on socketpairs for a single shard,
+//                         with SweepOptions::use_processes off, or where
+//                         pipe/fork fails;
 //   * SweepOptions::transport — remote workers over TCP sockets or
 //                         subprocess stdin/stdout (`sweep_worker` binary,
 //                         reachable over ssh), mixable with local shards.
@@ -19,7 +20,7 @@
 // Remote workers rebuild the spec from SweepOptions::grid through the grid
 // registry and prove the rebuild with a spec fingerprint before any task
 // flows. A remote worker lost mid-cell has its blocks requeued onto the
-// surviving workers; a forked shard lost mid-cell aborts the sweep (it
+// surviving workers; a local shard lost mid-cell aborts the sweep (it
 // shares this binary, so its death is a bug, not weather).
 //
 // Long runs can record a JSON checkpoint (SweepOptions::checkpoint_path):
@@ -68,16 +69,16 @@ struct CellResult {
 
 /// Execution knobs, orthogonal to the grid declaration.
 struct SweepOptions {
-  /// Local worker shards. 1 runs cells inline in this process (unless a
-  /// remote transport supplies the workers).
+  /// Local worker shards. 1 is one in-process thread worker, or none when
+  /// a remote transport supplies the workers.
   unsigned shards = 1;
   /// Worker threads inside each cell's trial blocks. 0 = auto: single-
   /// threaded cells when local shards > 1 (the shards are the parallelism),
   /// otherwise the config's own setting. Remote workers receive this value
   /// verbatim (their machines have their own cores).
   unsigned threads_per_cell = 0;
-  /// Fork local worker processes (POSIX). Off — or unsupported platform —
-  /// runs the same work queue over in-process threads.
+  /// Fork the local shards when there are several. Off runs them as
+  /// in-process threads, which feed the same queue the same way.
   bool use_processes = true;
   /// Invoked in the coordinator as each cell completes (any order): the
   /// result, cells done so far (checkpoint-resumed cells included), total
@@ -108,7 +109,7 @@ struct SweepOptions {
   /// disconnect: dropped, its block requeued through the usual 3-strike
   /// retry path. 0 (default) disables the deadline, restoring the
   /// block-forever poll. Set it comfortably above the worst-case block
-  /// compute time; forked local shards are exempt (their death is a bug,
+  /// compute time; local shards are exempt (their death is a bug,
   /// not weather, and they share this machine's clock anyway).
   int block_deadline_ms = 0;
 };

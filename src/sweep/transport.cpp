@@ -1,41 +1,32 @@
 #include "sweep/transport.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
 
-#include "io/codec.hpp"
 #include "sweep/runner.hpp"
 
-#if !defined(_WIN32)
-#define H3DFACT_POSIX_TRANSPORT 1
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
-#include <signal.h>  // NOLINT(modernize-deprecated-headers) — POSIX kill()
+#include <signal.h>  // NOLINT(modernize-deprecated-headers) — POSIX sigaction()
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 namespace h3dfact::sweep {
 
 namespace {
+
 constexpr int kHelloTimeoutMs = 60000;
-}  // namespace
-
-#if defined(H3DFACT_POSIX_TRANSPORT)
-
-namespace {
-
 constexpr int kSpecReadyTimeoutMs = 300000;  // spec builders may simulate chips
 
 bool read_retry(int fd, char* buf, std::size_t cap, long& out) {
@@ -272,20 +263,20 @@ long WorkerChannel::pump() {
 
 std::optional<Frame> WorkerChannel::next_frame() { return parser_.next(); }
 
-std::optional<Frame> WorkerChannel::await_frame(int timeout_ms) {
+std::optional<Frame> WorkerChannel::wait_frame(
+    std::chrono::steady_clock::time_point deadline, bool* timed_out) {
   // One deadline for the whole wait: neither a partial read nor EINTR
   // restarts it, so a peer trickling a byte per interval still times out.
   using Clock = std::chrono::steady_clock;
-  const Clock::time_point until =
-      Clock::now() + std::chrono::milliseconds(std::max(timeout_ms, 0));
+  if (timed_out != nullptr) *timed_out = false;
   for (;;) {
     if (auto frame = parser_.next()) return frame;
     if (read_fd_ < 0) return std::nullopt;
     int left = -1;
-    if (timeout_ms >= 0) {
+    if (deadline != Clock::time_point::max()) {
       const auto ms = std::chrono::ceil<std::chrono::milliseconds>(
-          until - Clock::now()).count();
-      left = ms > 0 ? static_cast<int>(ms) : 0;
+          deadline - Clock::now()).count();
+      left = static_cast<int>(std::clamp<decltype(ms)>(ms, 0, INT_MAX));
     }
     pollfd pfd{read_fd_, POLLIN, 0};
     const int rc = ::poll(&pfd, 1, left);
@@ -294,36 +285,44 @@ std::optional<Frame> WorkerChannel::await_frame(int timeout_ms) {
       return std::nullopt;
     }
     if (rc == 0) {
-      throw std::runtime_error("timed out waiting for sweep worker '" +
-                               label_ + "'");
-    }
-    const long got = pump();
-    if (got <= 0) {
-      // EOF or error with no complete frame buffered.
-      if (auto frame = parser_.next()) return frame;
+      if (timed_out != nullptr) *timed_out = true;
       return std::nullopt;
     }
+    // EOF or a read error leaves no complete frame buffered.
+    if (pump() <= 0) return std::nullopt;
   }
+}
+
+std::optional<Frame> WorkerChannel::await_frame(int timeout_ms) {
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point deadline =
+      timeout_ms < 0 ? Clock::time_point::max()
+                     : Clock::now() + std::chrono::milliseconds(timeout_ms);
+  bool timed_out = false;
+  std::optional<Frame> frame = wait_frame(deadline, &timed_out);
+  if (timed_out) {
+    throw std::runtime_error("timed out waiting for sweep worker '" + label_ +
+                             "'");
+  }
+  return frame;
 }
 
 // --- worker serve loops -----------------------------------------------------
 
-void serve_pipe_worker(const SweepSpec& spec, unsigned cell_threads,
-                       int in_fd, int out_fd) {
-  WorkerChannel ch(WorkerChannel::Kind::kForkPipe, in_fd, out_fd, -1, "shard");
+int serve_pipe_worker(const SweepSpec& spec, unsigned cell_threads, int in_fd,
+                      int out_fd) {
+  WorkerChannel ch(WorkerChannel::Kind::kLocal, in_fd, out_fd, -1, "shard");
   for (;;) {
     std::optional<Frame> frame;
     try {
       frame = ch.await_frame(-1);
     } catch (const std::exception&) {
-      ::_exit(1);  // malformed parent stream: nothing sane left to do
+      return 1;  // malformed coordinator stream: nothing sane left to do
     }
-    if (!frame) ::_exit(0);  // parent closed the queue: done
-    if (frame->kind == FrameKind::kShutdown) ::_exit(0);
-    if (frame->kind != FrameKind::kTask) continue;  // pipes carry tasks only
-    if (auto code = answer_task(ch, &spec, cell_threads, *frame)) {
-      ::_exit(*code);
-    }
+    // The coordinator closed the queue or said Shutdown: done.
+    if (!frame || frame->kind == FrameKind::kShutdown) return 0;
+    if (frame->kind != FrameKind::kTask) continue;  // shards take tasks only
+    if (auto code = answer_task(ch, &spec, cell_threads, *frame)) return *code;
   }
 }
 
@@ -352,32 +351,6 @@ int serve_remote_worker(int in_fd, int out_fd,
       case FrameKind::kSpecInit: {
         try {
           const SpecInitFrame init = decode_spec_init(frame->payload);
-          if (!init.artifact_path.empty()) {
-            // Verify-only preflight (protocol v3): sweep cells rebuild
-            // their codebooks per cell seed, so the artifact cannot stand
-            // in for them — but a coordinator that pins one wants to know
-            // up front whether this host can read the matching bytes. A
-            // failed preflight logs and falls back to per-cell rebuilds.
-            try {
-              io::LoadedCodebookSet loaded =
-                  io::load_codebook_set(init.artifact_path);
-              if (init.artifact_fingerprint != 0 &&
-                  loaded.fingerprint != init.artifact_fingerprint) {
-                throw std::runtime_error(
-                    "fingerprint " + std::to_string(loaded.fingerprint) +
-                    " does not match the SpecInit pin " +
-                    std::to_string(init.artifact_fingerprint));
-              }
-              std::fprintf(stderr,
-                           "[sweep_worker] artifact preflight ok: %s\n",
-                           init.artifact_path.c_str());
-            } catch (const std::exception& pe) {
-              std::fprintf(stderr,
-                           "[sweep_worker] artifact preflight failed (%s); "
-                           "using per-cell rebuilds\n",
-                           pe.what());
-            }
-          }
           SweepSpec rebuilt = build_grid(init.grid);
           SpecReadyFrame ready;
           ready.cell_count = rebuilt.cell_count();
@@ -414,13 +387,10 @@ int serve_remote_worker(int in_fd, int out_fd,
 
 // --- PipeTransport ----------------------------------------------------------
 
-PipeTransport::PipeTransport(unsigned shards) : shards_(shards) {}
+PipeTransport::PipeTransport(unsigned shards, bool use_processes)
+    : shards_(shards), use_processes_(use_processes) {}
 
 PipeTransport::~PipeTransport() { unbind(); }
-
-std::string PipeTransport::describe() const {
-  return "pipe(" + std::to_string(shards_) + " forked shards)";
-}
 
 std::vector<WorkerChannel*> PipeTransport::bind(const SpecBinding& binding) {
   ignore_sigpipe();
@@ -428,47 +398,13 @@ std::vector<WorkerChannel*> PipeTransport::bind(const SpecBinding& binding) {
   if (binding.spec == nullptr) {
     throw std::logic_error("PipeTransport::bind requires an in-memory spec");
   }
-  std::vector<std::array<int, 4>> opened;  // task r/w, result r/w per shard
+  // Fds a forked child must close: the remote channels, then the parent
+  // ends of every earlier shard, so EOFs propagate correctly everywhere.
+  std::vector<int> parent_fds = binding.close_in_child;
+  bool forking = use_processes_ && shards_ > 1;
   for (unsigned i = 0; i < shards_; ++i) {
-    int task_pipe[2];
-    int result_pipe[2];
-    if (::pipe(task_pipe) != 0) break;
-    if (::pipe(result_pipe) != 0) {
-      ::close(task_pipe[0]);
-      ::close(task_pipe[1]);
-      break;
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      ::close(task_pipe[0]);
-      ::close(task_pipe[1]);
-      ::close(result_pipe[0]);
-      ::close(result_pipe[1]);
-      break;
-    }
-    if (pid == 0) {
-      // Child: keep only its two pipe ends. Close the parent-side ends of
-      // every earlier shard and the remote channels bound before the fork,
-      // so EOFs propagate correctly everywhere.
-      ::close(task_pipe[1]);
-      ::close(result_pipe[0]);
-      for (const auto& fds : opened) {
-        ::close(fds[1]);  // sibling task write end
-        ::close(fds[2]);  // sibling result read end
-      }
-      for (int fd : binding.close_in_child) {
-        if (fd >= 0) ::close(fd);
-      }
-      serve_pipe_worker(*binding.spec, binding.cell_threads, task_pipe[0],
-                        result_pipe[1]);
-    }
-    ::close(task_pipe[0]);
-    ::close(result_pipe[1]);
-    opened.push_back({task_pipe[0], task_pipe[1], result_pipe[0],
-                      result_pipe[1]});
-    channels_.push_back(std::make_unique<WorkerChannel>(
-        WorkerChannel::Kind::kForkPipe, result_pipe[0], task_pipe[1], pid,
-        "shard" + std::to_string(i)));
+    if (forking) forking = fork_shard(binding, i, parent_fds);
+    if (!forking) start_thread(binding, i);
   }
   std::vector<WorkerChannel*> out;
   out.reserve(channels_.size());
@@ -476,7 +412,74 @@ std::vector<WorkerChannel*> PipeTransport::bind(const SpecBinding& binding) {
   return out;
 }
 
-void PipeTransport::unbind() { shutdown_and_reap(channels_); }
+bool PipeTransport::fork_shard(const SpecBinding& binding, unsigned index,
+                               std::vector<int>& parent_fds) {
+  int task_pipe[2];
+  int result_pipe[2];
+  if (::pipe(task_pipe) != 0) return false;
+  if (::pipe(result_pipe) != 0) {
+    ::close(task_pipe[0]);
+    ::close(task_pipe[1]);
+    return false;
+  }
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    for (int fd : {task_pipe[0], task_pipe[1], result_pipe[0],
+                   result_pipe[1]}) {
+      ::close(fd);
+    }
+    return false;
+  }
+  if (pid == 0) {
+    // Child: keep only its own two pipe ends.
+    ::close(task_pipe[1]);
+    ::close(result_pipe[0]);
+    for (int fd : parent_fds) {
+      if (fd >= 0) ::close(fd);
+    }
+    ::_exit(serve_pipe_worker(*binding.spec, binding.cell_threads,
+                              task_pipe[0], result_pipe[1]));
+  }
+  ::close(task_pipe[0]);
+  ::close(result_pipe[1]);
+  parent_fds.push_back(task_pipe[1]);
+  parent_fds.push_back(result_pipe[0]);
+  channels_.push_back(std::make_unique<WorkerChannel>(
+      WorkerChannel::Kind::kLocal, result_pipe[0], task_pipe[1], pid,
+      "shard" + std::to_string(index)));
+  return true;
+}
+
+void PipeTransport::start_thread(const SpecBinding& binding, unsigned index) {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+    throw std::runtime_error(std::string("cannot create a local sweep "
+                                         "worker socketpair: ") +
+                             std::strerror(errno));
+  }
+  set_cloexec(fds[0]);
+  set_cloexec(fds[1]);
+  channels_.push_back(std::make_unique<WorkerChannel>(
+      WorkerChannel::Kind::kLocal, fds[0], fds[0], -1,
+      "shard" + std::to_string(index)));
+  const SweepSpec* spec = binding.spec;
+  const unsigned cell_threads = binding.cell_threads;
+  const int worker_fd = fds[1];
+  try {
+    threads_.emplace_back([spec, cell_threads, worker_fd] {
+      (void)serve_pipe_worker(*spec, cell_threads, worker_fd, worker_fd);
+    });
+  } catch (...) {
+    ::close(worker_fd);
+    throw;
+  }
+}
+
+void PipeTransport::unbind() {
+  shutdown_and_reap(channels_);
+  for (std::thread& t : threads_) t.join();
+  threads_.clear();
+}
 
 // --- StdioTransport ---------------------------------------------------------
 
@@ -524,10 +527,6 @@ StdioTransport::StdioTransport(std::vector<std::string> commands) {
 
 StdioTransport::~StdioTransport() { shutdown_and_reap(channels_); }
 
-std::string StdioTransport::describe() const {
-  return "stdio(" + std::to_string(channels_.size()) + " workers)";
-}
-
 std::vector<WorkerChannel*> StdioTransport::bind(const SpecBinding& binding) {
   return bind_remote_channels(channels_, binding);
 }
@@ -563,12 +562,6 @@ TcpTransport::TcpTransport(TcpConfig config) : config_(std::move(config)) {
 TcpTransport::~TcpTransport() {
   shutdown_and_reap(channels_);
   if (listen_fd_ >= 0) ::close(listen_fd_);
-}
-
-std::string TcpTransport::describe() const {
-  std::string desc = "tcp(" + std::to_string(channels_.size()) + " workers";
-  if (listen_fd_ >= 0) desc += ", listening on :" + std::to_string(listen_port_);
-  return desc + ")";
 }
 
 void TcpTransport::accept_pending() {
@@ -616,15 +609,6 @@ std::vector<WorkerChannel*> CompositeTransport::bind(
 
 void CompositeTransport::unbind() {
   for (auto& part : parts_) part->unbind();
-}
-
-std::string CompositeTransport::describe() const {
-  std::string desc = "composite(";
-  for (std::size_t i = 0; i < parts_.size(); ++i) {
-    if (i) desc += ", ";
-    desc += parts_[i]->describe();
-  }
-  return desc + ")";
 }
 
 // --- TCP plumbing -----------------------------------------------------------
@@ -741,73 +725,6 @@ int tcp_connect(const std::string& addr, int retries, int retry_ms) {
                            " attempts");
 }
 
-#else  // !H3DFACT_POSIX_TRANSPORT — declaration-satisfying stubs.
-
-WorkerChannel::WorkerChannel(Kind kind, int read_fd, int write_fd, pid_t pid,
-                             std::string label)
-    : kind_(kind), read_fd_(read_fd), write_fd_(write_fd), pid_(pid),
-      label_(std::move(label)) {}
-WorkerChannel::~WorkerChannel() = default;
-bool WorkerChannel::send(FrameKind, std::string_view) { return false; }
-void WorkerChannel::close_write() {}
-void WorkerChannel::close_all() {}
-long WorkerChannel::pump() { return -1; }
-std::optional<Frame> WorkerChannel::next_frame() { return std::nullopt; }
-std::optional<Frame> WorkerChannel::await_frame(int) { return std::nullopt; }
-
-namespace {
-[[noreturn]] void unsupported() {
-  throw std::runtime_error("sweep worker transports require POSIX");
-}
-}  // namespace
-
-void serve_pipe_worker(const SweepSpec&, unsigned, int, int) { unsupported(); }
-int serve_remote_worker(int, int, unsigned) { return 2; }
-
-PipeTransport::PipeTransport(unsigned shards) : shards_(shards) {}
-PipeTransport::~PipeTransport() = default;
-std::vector<WorkerChannel*> PipeTransport::bind(const SpecBinding&) {
-  return {};
-}
-void PipeTransport::unbind() {}
-std::string PipeTransport::describe() const { return "pipe(unsupported)"; }
-
-StdioTransport::StdioTransport(std::vector<std::string>) { unsupported(); }
-StdioTransport::~StdioTransport() = default;
-std::vector<WorkerChannel*> StdioTransport::bind(const SpecBinding&) {
-  return {};
-}
-void StdioTransport::unbind() {}
-std::string StdioTransport::describe() const { return "stdio(unsupported)"; }
-
-TcpTransport::TcpTransport(TcpConfig config) : config_(std::move(config)) {
-  unsupported();
-}
-TcpTransport::~TcpTransport() = default;
-std::vector<WorkerChannel*> TcpTransport::bind(const SpecBinding&) {
-  return {};
-}
-void TcpTransport::unbind() {}
-std::string TcpTransport::describe() const { return "tcp(unsupported)"; }
-void TcpTransport::accept_pending() {}
-
-CompositeTransport::CompositeTransport(
-    std::vector<std::shared_ptr<Transport>> parts)
-    : parts_(std::move(parts)) {}
-std::vector<WorkerChannel*> CompositeTransport::bind(const SpecBinding&) {
-  return {};
-}
-void CompositeTransport::unbind() {}
-std::string CompositeTransport::describe() const {
-  return "composite(unsupported)";
-}
-
-int tcp_listen(const std::string&) { unsupported(); }
-std::uint16_t tcp_local_port(int) { return 0; }
-int tcp_accept(int, int) { return -1; }
-int tcp_connect(const std::string&, int, int) { unsupported(); }
-
-#endif  // H3DFACT_POSIX_TRANSPORT
 
 // --- Hello handshake --------------------------------------------------------
 

@@ -4,14 +4,15 @@
 //
 // The sweep scheduler is transport-agnostic: it drives a set of
 // WorkerChannels, each a bidirectional framed byte stream to one worker,
-// and never cares whether the bytes cross a fork pipe, a subprocess's
-// stdin/stdout, or a TCP socket. A Transport owns channels and knows how to
-// bind them to one sweep run:
+// and never cares whether the bytes cross a pipe or socketpair to a local
+// shard, a subprocess's stdin/stdout, or a TCP socket. A Transport owns
+// channels and knows how to bind them to one sweep run:
 //
-//   * PipeTransport  — today's fork+pipe pool. Children share the
-//     coordinator's memory image (the SweepSpec closures included), so no
-//     handshake is needed and behavior matches the pre-seam runner
-//     bit-for-bit. A shard death is a hard sweep failure, as before.
+//   * PipeTransport  — the local worker pool: forked children over pipes,
+//     or std::threads on one end of a socketpair. Either way the worker
+//     shares the coordinator's memory image (the SweepSpec closures
+//     included), so no handshake is needed. A local worker's death is a
+//     hard sweep failure.
 //   * StdioTransport — spawns worker commands (`sh -c`) speaking the framed
 //     protocol on stdin/stdout; `ssh host sweep_worker --stdio` makes this
 //     the zero-infrastructure cross-machine transport.
@@ -24,22 +25,20 @@
 // partition-invariant merge make the statistics bit-identical no matter
 // which transport — or mix of transports — computed each block.
 
+#include <chrono>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "sweep/protocol.hpp"
 #include "sweep/registry.hpp"
 
-#if !defined(_WIN32)
 #include <sys/types.h>
-#else
-using pid_t = int;
-#endif
 
 namespace h3dfact::sweep {
 
@@ -52,9 +51,9 @@ class WorkerChannel {
  public:
   /// Which transport produced the channel (drives disconnect policy).
   enum class Kind {
-    kForkPipe,  ///< forked shard sharing this process's memory image
-    kStdio,     ///< spawned subprocess speaking frames on stdin/stdout
-    kTcp,       ///< TCP socket to a sweep_worker process
+    kLocal,  ///< forked or in-process shard sharing this memory image
+    kStdio,  ///< spawned subprocess speaking frames on stdin/stdout
+    kTcp,    ///< TCP socket to a sweep_worker process
   };
 
   /// Wrap `read_fd`/`write_fd` (equal for sockets) as a channel. `label`
@@ -74,11 +73,11 @@ class WorkerChannel {
   /// True while frames can still be sent.
   [[nodiscard]] bool writable() const { return write_fd_ >= 0; }
 
-  /// A lost fork shard invalidates the sweep (it shares our binary and
+  /// A lost local shard invalidates the sweep (it shares our binary and
   /// spec, so its death is a bug); a lost remote worker only requeues its
   /// in-flight blocks onto the survivors.
   [[nodiscard]] bool requeue_on_disconnect() const {
-    return kind_ != Kind::kForkPipe;
+    return kind_ != Kind::kLocal;
   }
 
   /// Frame-and-send; false when the peer is gone (EPIPE/closed).
@@ -94,8 +93,15 @@ class WorkerChannel {
   /// Pop the next buffered frame; throws std::runtime_error on a malformed
   /// stream (treat the peer as broken).
   std::optional<Frame> next_frame();
-  /// Block (poll + pump) until a frame arrives, the peer disconnects
-  /// (nullopt), or `timeout_ms` elapses (throws std::runtime_error).
+  /// Block (poll + pump) until a frame arrives, the peer disconnects or
+  /// `deadline` passes (time_point::max() waits forever). Both misses
+  /// return nullopt; `*timed_out` tells them apart. Throws only on a
+  /// malformed stream.
+  std::optional<Frame> wait_frame(
+      std::chrono::steady_clock::time_point deadline,
+      bool* timed_out = nullptr);
+  /// wait_frame for `timeout_ms` (negative = forever), throwing
+  /// std::runtime_error on timeout.
   std::optional<Frame> await_frame(int timeout_ms);
 
  private:
@@ -108,7 +114,7 @@ class WorkerChannel {
 };
 
 /// What a transport binds its workers to for one sweep run: the in-memory
-/// spec (fork workers), the registry recipe + expected resolution (remote
+/// spec (local shards), the registry recipe + expected resolution (remote
 /// workers), and the per-cell thread count to apply.
 struct SpecBinding {
   const SweepSpec* spec = nullptr;  ///< coordinator's resolved spec
@@ -123,7 +129,7 @@ struct SpecBinding {
 
 /// A source of bound worker channels. Transports may be persistent (remote
 /// connections survive across bind/unbind cycles, so multi-grid benches
-/// reuse one worker fleet) or per-run (fork shards).
+/// reuse one worker fleet) or per-run (local shards).
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -131,29 +137,34 @@ class Transport {
   /// ready for Task frames. Throws std::runtime_error when a worker cannot
   /// be bound (handshake failure, fingerprint mismatch, unknown grid).
   virtual std::vector<WorkerChannel*> bind(const SpecBinding& binding) = 0;
-  /// Release per-run resources (reap fork shards); persistent connections
-  /// stay open for the next bind().
+  /// Release per-run resources (stop local shards); persistent
+  /// connections stay open for the next bind().
   virtual void unbind() = 0;
-  /// Human-readable description for logs and errors.
-  [[nodiscard]] virtual std::string describe() const = 0;
 };
 
-/// Today's fork+pipe worker pool behind the Transport seam. bind() forks
-/// `shards` children that execute Task frames against the shared in-memory
-/// spec; unbind() reaps them. bind() returns an empty vector when fork is
-/// unavailable (sandbox, resource limits) — the runner then falls back to
-/// in-process threads, as before.
+/// The local worker pool behind the Transport seam. bind() starts `shards`
+/// workers that run serve_pipe_worker against the shared in-memory spec:
+/// forked children over pipes when `use_processes` is set and shards > 1,
+/// otherwise std::threads on one end of a socketpair. A shard whose pipe
+/// or fork fails, and every shard after it, runs as a thread, so threads
+/// never exist while this transport forks. unbind() stops the workers,
+/// reaps the children and joins the threads.
 class PipeTransport : public Transport {
  public:
-  explicit PipeTransport(unsigned shards);
+  PipeTransport(unsigned shards, bool use_processes);
   ~PipeTransport() override;
   std::vector<WorkerChannel*> bind(const SpecBinding& binding) override;
   void unbind() override;
-  [[nodiscard]] std::string describe() const override;
 
  private:
+  bool fork_shard(const SpecBinding& binding, unsigned index,
+                  std::vector<int>& parent_fds);
+  void start_thread(const SpecBinding& binding, unsigned index);
+
   unsigned shards_;
+  bool use_processes_;
   std::vector<std::unique_ptr<WorkerChannel>> channels_;
+  std::vector<std::thread> threads_;
 };
 
 /// Spawned-subprocess transport: each command runs under `sh -c` with the
@@ -168,7 +179,6 @@ class StdioTransport : public Transport {
   ~StdioTransport() override;
   std::vector<WorkerChannel*> bind(const SpecBinding& binding) override;
   void unbind() override;
-  [[nodiscard]] std::string describe() const override;
 
  private:
   std::vector<std::unique_ptr<WorkerChannel>> channels_;
@@ -203,7 +213,6 @@ class TcpTransport : public Transport {
   ~TcpTransport() override;
   std::vector<WorkerChannel*> bind(const SpecBinding& binding) override;
   void unbind() override;
-  [[nodiscard]] std::string describe() const override;
 
   /// The bound listen port (valid once constructed with a listen address;
   /// resolves "0" to the kernel-assigned ephemeral port).
@@ -219,13 +228,12 @@ class TcpTransport : public Transport {
 };
 
 /// Aggregates several transports into one (e.g. TCP workers + stdio
-/// workers + local fork shards all feeding the same queue).
+/// workers + local shards all feeding the same queue).
 class CompositeTransport : public Transport {
  public:
   explicit CompositeTransport(std::vector<std::shared_ptr<Transport>> parts);
   std::vector<WorkerChannel*> bind(const SpecBinding& binding) override;
   void unbind() override;
-  [[nodiscard]] std::string describe() const override;
 
  private:
   std::vector<std::shared_ptr<Transport>> parts_;
@@ -250,13 +258,13 @@ std::string dial_hello(WorkerChannel& ch, PeerRole role);
 
 // --- worker side ------------------------------------------------------------
 
-/// Serve loop for fork-pipe shards: execute Task frames against the
-/// in-memory `spec`, answer with Result/Error frames, exit on EOF. Never
-/// returns (calls _exit, keeping the forked child off the parent's
-/// destructors).
-[[noreturn]] void serve_pipe_worker(const SweepSpec& spec,
-                                    unsigned cell_threads, int in_fd,
-                                    int out_fd);
+/// Serve loop for local shards: execute Task frames against the in-memory
+/// `spec`, answer with Result/Error frames, stop on EOF or Shutdown. Owns
+/// and closes the fds (equal for a socket). Returns the exit code (0 done,
+/// 1 failed block or malformed stream); a forked child passes it to _exit,
+/// keeping itself off the parent's destructors.
+int serve_pipe_worker(const SweepSpec& spec, unsigned cell_threads, int in_fd,
+                      int out_fd);
 
 /// Serve loop for remote workers (`sweep_worker`): send Hello, verify the
 /// HelloAck, rebuild specs from SpecInit frames through the grid registry,

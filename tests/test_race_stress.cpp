@@ -146,8 +146,6 @@ TEST(SyncStress, CondVarProducerConsumerDeliversEveryItem) {
   EXPECT_EQ(shared.consumed_sum, expected);
 }
 
-#if !defined(_WIN32)
-
 // --- coordinator cross-thread paths -----------------------------------------
 
 serve::ServeConfig stress_config() {
@@ -326,7 +324,5 @@ TEST(ServeRaceStress, DrainRacesStatsReaders) {
   EXPECT_EQ(final_stats.completed + final_stats.failed + final_stats.rejected,
             kRequests);
 }
-
-#endif  // !_WIN32
 
 }  // namespace

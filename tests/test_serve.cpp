@@ -20,10 +20,8 @@
 #include <thread>
 #include <vector>
 
-#if !defined(_WIN32)
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 #include "resonator/problem.hpp"
 #include "resonator/resonator.hpp"
@@ -190,8 +188,6 @@ TEST(ServeProtocol, HelloCarriesPeerRole) {
   EXPECT_EQ(d.version, sweep::kProtocolVersion);
   EXPECT_EQ(d.role, static_cast<std::uint32_t>(sweep::PeerRole::kServeClient));
 }
-
-#if !defined(_WIN32)
 
 // --- live coordinator fixtures ----------------------------------------------
 
@@ -733,7 +729,5 @@ TEST(ServeWorker, RejectsMismatchedHelloAck) {
   fake.join();
   ::close(listen_fd);
 }
-
-#endif  // !_WIN32
 
 }  // namespace

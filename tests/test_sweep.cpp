@@ -1,13 +1,16 @@
 // Sweep subsystem tests: declarative grid resolution, deterministic cell
-// seeding, shard-count invariance of the sharded runner (process pool and
-// thread fallback), execution-mode equivalence of the trial runner,
+// seeding, shard-count invariance of the sharded runner (forked and thread
+// shards), execution-mode equivalence of the trial runner,
 // emitter golden files, and worker-failure propagation.
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <gtest/gtest.h>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sweep/emit.hpp"
@@ -149,9 +152,47 @@ TEST(SweepSpec, ParamAxisFeedsTheCellFactory) {
   EXPECT_DOUBLE_EQ(seen.front(), 4.0);
 }
 
+// Snapshot of the /proc/self/fd and /proc/self/task entry counts: a sweep
+// on thread shards must close every socketpair end and join every worker.
+class ProcSelfCounts {
+ public:
+  ProcSelfCounts() : before_(counts()) {}
+
+  // A joined thread can linger in /proc/self/task for a moment, so poll
+  // briefly before comparing. No-op where /proc/self is absent.
+  void expect_restored(const std::string& context) const {
+    if (before_.empty()) return;
+    std::vector<std::size_t> now = counts();
+    for (int i = 0; i < 200 && now != before_; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      now = counts();
+    }
+    EXPECT_EQ(now, before_) << context << ": {fds, threads} after the run";
+  }
+
+ private:
+  static std::vector<std::size_t> counts() {
+    namespace fs = std::filesystem;
+    std::error_code ec;
+    if (!fs::is_directory("/proc/self/task", ec)) return {};
+    std::vector<std::size_t> out;
+    for (const char* dir : {"/proc/self/fd", "/proc/self/task"}) {
+      std::size_t n = 0;
+      for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+           it.increment(ec)) {
+        ++n;
+      }
+      out.push_back(n);
+    }
+    return out;
+  }
+
+  std::vector<std::size_t> before_;
+};
+
 // The acceptance property: per-cell statistics are bit-identical for every
-// shard count and for the in-process thread fallback, because each cell is
-// a pure function of (spec, cell index).
+// shard count and for thread shards, because each cell is a pure function
+// of (spec, cell index).
 TEST(SweepRunner, ShardCountInvariance) {
   sweep::SweepSpec spec = small_grid();
 
@@ -179,11 +220,13 @@ TEST(SweepRunner, ShardCountInvariance) {
   sweep::SweepOptions threads;
   threads.shards = 3;
   threads.use_processes = false;
+  const ProcSelfCounts counts;
   const auto threaded = sweep::run_sweep(spec, threads);
+  counts.expect_restored("thread shards");
   ASSERT_EQ(threaded.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
     expect_stats_equal(threaded[i].stats, reference[i].stats,
-                       "thread fallback cell " + std::to_string(i));
+                       "thread shards cell " + std::to_string(i));
   }
 
   // And every cell equals a direct single-cell execution (run_trials is the
@@ -225,17 +268,19 @@ TEST(SweepRunner, WorkerFailurePropagates) {
   processes.shards = 2;
   EXPECT_THROW((void)sweep::run_sweep(spec, processes), std::runtime_error);
 
-  // The thread fallback wraps failures the same way: runtime_error naming
-  // the failing cell.
+  // Thread shards wrap failures the same way: runtime_error naming the
+  // failing cell, with every worker joined and every socket closed.
   sweep::SweepOptions threads;
   threads.shards = 2;
   threads.use_processes = false;
+  const ProcSelfCounts counts;
   try {
     (void)sweep::run_sweep(spec, threads);
     FAIL() << "expected a sweep failure";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("cell 2"), std::string::npos);
   }
+  counts.expect_restored("failed thread shards");
 }
 
 // run_trials execution modes: the lockstep-batched default must reproduce
@@ -456,6 +501,11 @@ TEST(SweepRunner, CellFilterRunsOnlySelectedCells) {
   EXPECT_THROW((void)sweep::parse_cell_filter("a-b", 4),
                std::invalid_argument);
   EXPECT_THROW((void)sweep::parse_cell_filter("", 4), std::invalid_argument);
+  // Indices past 2^64 - 1 are out of range, not wrapped onto small cells.
+  EXPECT_THROW((void)sweep::parse_cell_filter("18446744073709551617", 4),
+               std::out_of_range);
+  EXPECT_THROW((void)sweep::parse_cell_filter("0-18446744073709551618", 4),
+               std::out_of_range);
 
   sweep::SweepSpec spec = small_grid();
   const auto reference = sweep::run_sweep(spec, {});

@@ -22,10 +22,8 @@
 #include <thread>
 #include <vector>
 
-#if !defined(_WIN32)
 #include <sys/socket.h>
 #include <unistd.h>
-#endif
 
 #include "sweep/emit.hpp"
 #include "sweep/peer_loop.hpp"
@@ -260,8 +258,6 @@ TEST(GridRegistry, FingerprintSeparatesParamsAndMatchesRebuild) {
   EXPECT_EQ(a, a2);
   EXPECT_NE(a, b);
 }
-
-#if !defined(_WIN32)
 
 // --- peer loop --------------------------------------------------------------
 
@@ -823,8 +819,6 @@ TEST(StdioTransport, SpawnedWorkerSweepBitIdentical) {
   }
 }
 
-#endif  // !_WIN32
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -836,7 +830,6 @@ int main(int argc, char** argv) {
       return h3dfact::sweep::serve_remote_worker(0, 1);
     }
   }
-#if !defined(_WIN32)
   char buf[4096];
   const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof buf - 1);
   if (n > 0) {
@@ -845,7 +838,6 @@ int main(int argc, char** argv) {
   } else if (argc > 0) {
     g_self_exe = argv[0];
   }
-#endif
   ::testing::InitGoogleTest(&argc, argv);
   return RUN_ALL_TESTS();
 }
