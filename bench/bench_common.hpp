@@ -24,7 +24,7 @@
 //                         e.g. "ssh host sweep_worker --stdio")
 //   --block-deadline-ms=N drop a remote worker that holds one trial block
 //                         longer than N ms and requeue the block (0 = wait
-//                         forever; forked local shards are exempt)
+//                         forever; local shards are exempt)
 
 #include <algorithm>
 #include <cstdint>

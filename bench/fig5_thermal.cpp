@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
   }
   t.add_note("Paper: H3D tiers range 46.8-47.8 C; the 2D design sits at ~44 C.");
   t.add_note("Solver converged: h3d=" + std::string(h3d_sol.converged ? "yes" : "no") +
-             " (" + std::to_string(h3d_sol.sweeps) + " sweeps), 2d=" +
+             " (" + std::to_string(h3d_sol.sweeps) + " CG iterations), 2d=" +
              std::string(flat_sol.converged ? "yes" : "no"));
   t.print(std::cout);
 

@@ -29,7 +29,7 @@ express (docs/static-analysis.md):
                makes corrupt files a typed error instead of UB.
   platform-guard
                No _WIN32/_WIN64 test in src/: the library is POSIX-only
-               (its local sweep workers need fork and socketpair), so a
+               (its sweep transports need fork and socketpair), so a
                guard could only hide an untested second code path.
   pragma-once  Every header under src/ opens with #pragma once as its
                first non-comment line.

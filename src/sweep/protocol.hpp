@@ -2,7 +2,7 @@
 // Wire protocol for sweep task distribution (the sweep subsystem's transport
 // seam, part 1: framing and payload codecs).
 //
-// Every byte that crosses a worker boundary — fork pipe, subprocess
+// Every byte that crosses a worker boundary — local socketpair, subprocess
 // stdin/stdout, or TCP socket — is a length-framed little-endian record:
 //
 //     [u8 kind][u64 payload bytes][payload]

@@ -18,8 +18,6 @@
 #include "sweep/transport.hpp"
 #include "util/parse.hpp"
 
-#include <signal.h>  // NOLINT(modernize-deprecated-headers) — POSIX kill()
-
 namespace h3dfact::sweep {
 
 namespace {
@@ -289,8 +287,8 @@ std::vector<CellResult> load_checkpoint(const SweepSpec& spec,
 
 // --- the scheduler ---------------------------------------------------------
 
-// The one sweep scheduler. Drives any mix of WorkerChannels (local shards,
-// forked or threads; stdio subprocesses; TCP workers) from one dynamic
+// The one sweep scheduler. Drives any mix of WorkerChannels (local thread
+// shards, stdio subprocesses, TCP workers) from one dynamic
 // queue through the shared PeerLoop. One task in flight per channel: the
 // next block is assigned the moment a result lands, so fast workers
 // naturally take more of the queue. Remote losses requeue; local shard
@@ -329,19 +327,13 @@ std::vector<CellResult> run_with_channels(
     return n;
   };
 
-  // First failure wins; stop assigning and terminate forked children
-  // promptly — one may be hours into a block whose sweep is already doomed.
-  // A thread shard finishes its block; unbind() then joins it.
+  // First failure wins; stop assigning. A local shard finishes its block;
+  // unbind() then joins it.
   auto fail = [&](std::string msg) {
     if (failure.empty()) failure = std::move(msg);
     next = tasks.size();
     requeued.clear();
-    for (WorkerChannel* ch : channels) {
-      slots[ch].open = false;
-      if (ch->kind() == WorkerChannel::Kind::kLocal && ch->pid() > 0) {
-        ::kill(ch->pid(), SIGTERM);
-      }
-    }
+    for (WorkerChannel* ch : channels) slots[ch].open = false;
   };
 
   std::function<void(WorkerChannel&)> send_next_task;
@@ -601,9 +593,8 @@ std::vector<CellResult> SweepRunner::run() const {
                     selected.size());
   if (selected.empty()) return log.take();
 
-  // One channel list: remote workers first, so the forked shards can close
-  // the remote fds they inherit, then the local shards. A single shard
-  // stays home when remote workers carry the run.
+  // One channel list: remote workers first, then the local shards. A single
+  // shard stays home when remote workers carry the run.
   struct RemoteUnbind {
     Transport* transport = nullptr;
     ~RemoteUnbind() {
@@ -623,14 +614,10 @@ std::vector<CellResult> SweepRunner::run() const {
   }
   // Declared after remote_unbind, so its destructor stops the local shards
   // before the remote transport unbinds.
-  PipeTransport local(channels.empty() || nshards > 1 ? nshards : 0,
-                      options_.use_processes);
+  PipeTransport local(channels.empty() || nshards > 1 ? nshards : 0);
   SpecBinding binding;
   binding.spec = &spec_;
   binding.cell_threads = effective_cell_threads(options_, nshards);
-  for (WorkerChannel* ch : channels) {
-    binding.close_in_child.push_back(ch->read_fd());
-  }
   const std::vector<WorkerChannel*> shards = local.bind(binding);
   channels.insert(channels.end(), shards.begin(), shards.end());
   return run_with_channels(spec_, selected, channels, log,

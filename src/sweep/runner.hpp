@@ -9,10 +9,7 @@
 // the wall clock changes. Every worker is a WorkerChannel that one
 // scheduler drives through the shared PeerLoop (transport.hpp):
 //
-//   * local shards      — PipeTransport: forked processes over pipes, or
-//                         std::threads on socketpairs for a single shard,
-//                         with SweepOptions::use_processes off, or where
-//                         pipe/fork fails;
+//   * local shards      — PipeTransport: std::threads on socketpairs;
 //   * SweepOptions::transport — remote workers over TCP sockets or
 //                         subprocess stdin/stdout (`sweep_worker` binary,
 //                         reachable over ssh), mixable with local shards.
@@ -77,8 +74,8 @@ struct SweepOptions {
   /// otherwise the config's own setting. Remote workers receive this value
   /// verbatim (their machines have their own cores).
   unsigned threads_per_cell = 0;
-  /// Fork the local shards when there are several. Off runs them as
-  /// in-process threads, which feed the same queue the same way.
+  /// Ignored: local shards are always threads; kept so existing callers
+  /// compile.
   bool use_processes = true;
   /// Invoked in the coordinator as each cell completes (any order): the
   /// result, cells done so far (checkpoint-resumed cells included), total

@@ -194,6 +194,25 @@ std::optional<int> answer_task(WorkerChannel& ch, const SweepSpec* spec,
   return 1;
 }
 
+// Serve loop for a local thread shard: execute Task frames against the
+// in-memory `spec` until EOF, Shutdown, a failed block or a malformed
+// stream. Owns and closes the socket.
+void serve_pipe_worker(const SweepSpec& spec, unsigned cell_threads, int fd) {
+  WorkerChannel ch(WorkerChannel::Kind::kLocal, fd, fd, -1, "shard");
+  for (;;) {
+    std::optional<Frame> frame;
+    try {
+      frame = ch.await_frame(-1);
+    } catch (const std::exception&) {
+      return;  // malformed coordinator stream: nothing sane left to do
+    }
+    // The coordinator closed the queue or said Shutdown: done.
+    if (!frame || frame->kind == FrameKind::kShutdown) return;
+    if (frame->kind != FrameKind::kTask) continue;  // shards take tasks only
+    if (answer_task(ch, &spec, cell_threads, *frame)) return;
+  }
+}
+
 void shutdown_and_reap(std::vector<std::unique_ptr<WorkerChannel>>& channels) {
   for (auto& ch : channels) {
     if (ch->writable()) ch->send(FrameKind::kShutdown, "");
@@ -309,23 +328,6 @@ std::optional<Frame> WorkerChannel::await_frame(int timeout_ms) {
 
 // --- worker serve loops -----------------------------------------------------
 
-int serve_pipe_worker(const SweepSpec& spec, unsigned cell_threads, int in_fd,
-                      int out_fd) {
-  WorkerChannel ch(WorkerChannel::Kind::kLocal, in_fd, out_fd, -1, "shard");
-  for (;;) {
-    std::optional<Frame> frame;
-    try {
-      frame = ch.await_frame(-1);
-    } catch (const std::exception&) {
-      return 1;  // malformed coordinator stream: nothing sane left to do
-    }
-    // The coordinator closed the queue or said Shutdown: done.
-    if (!frame || frame->kind == FrameKind::kShutdown) return 0;
-    if (frame->kind != FrameKind::kTask) continue;  // shards take tasks only
-    if (auto code = answer_task(ch, &spec, cell_threads, *frame)) return *code;
-  }
-}
-
 int serve_remote_worker(int in_fd, int out_fd,
                         unsigned cell_threads_override) {
   WorkerChannel ch(WorkerChannel::Kind::kStdio, in_fd, out_fd, -1,
@@ -387,8 +389,7 @@ int serve_remote_worker(int in_fd, int out_fd,
 
 // --- PipeTransport ----------------------------------------------------------
 
-PipeTransport::PipeTransport(unsigned shards, bool use_processes)
-    : shards_(shards), use_processes_(use_processes) {}
+PipeTransport::PipeTransport(unsigned shards) : shards_(shards) {}
 
 PipeTransport::~PipeTransport() { unbind(); }
 
@@ -398,81 +399,33 @@ std::vector<WorkerChannel*> PipeTransport::bind(const SpecBinding& binding) {
   if (binding.spec == nullptr) {
     throw std::logic_error("PipeTransport::bind requires an in-memory spec");
   }
-  // Fds a forked child must close: the remote channels, then the parent
-  // ends of every earlier shard, so EOFs propagate correctly everywhere.
-  std::vector<int> parent_fds = binding.close_in_child;
-  bool forking = use_processes_ && shards_ > 1;
-  for (unsigned i = 0; i < shards_; ++i) {
-    if (forking) forking = fork_shard(binding, i, parent_fds);
-    if (!forking) start_thread(binding, i);
-  }
-  std::vector<WorkerChannel*> out;
-  out.reserve(channels_.size());
-  for (auto& ch : channels_) out.push_back(ch.get());
-  return out;
-}
-
-bool PipeTransport::fork_shard(const SpecBinding& binding, unsigned index,
-                               std::vector<int>& parent_fds) {
-  int task_pipe[2];
-  int result_pipe[2];
-  if (::pipe(task_pipe) != 0) return false;
-  if (::pipe(result_pipe) != 0) {
-    ::close(task_pipe[0]);
-    ::close(task_pipe[1]);
-    return false;
-  }
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    for (int fd : {task_pipe[0], task_pipe[1], result_pipe[0],
-                   result_pipe[1]}) {
-      ::close(fd);
-    }
-    return false;
-  }
-  if (pid == 0) {
-    // Child: keep only its own two pipe ends.
-    ::close(task_pipe[1]);
-    ::close(result_pipe[0]);
-    for (int fd : parent_fds) {
-      if (fd >= 0) ::close(fd);
-    }
-    ::_exit(serve_pipe_worker(*binding.spec, binding.cell_threads,
-                              task_pipe[0], result_pipe[1]));
-  }
-  ::close(task_pipe[0]);
-  ::close(result_pipe[1]);
-  parent_fds.push_back(task_pipe[1]);
-  parent_fds.push_back(result_pipe[0]);
-  channels_.push_back(std::make_unique<WorkerChannel>(
-      WorkerChannel::Kind::kLocal, result_pipe[0], task_pipe[1], pid,
-      "shard" + std::to_string(index)));
-  return true;
-}
-
-void PipeTransport::start_thread(const SpecBinding& binding, unsigned index) {
-  int fds[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
-    throw std::runtime_error(std::string("cannot create a local sweep "
-                                         "worker socketpair: ") +
-                             std::strerror(errno));
-  }
-  set_cloexec(fds[0]);
-  set_cloexec(fds[1]);
-  channels_.push_back(std::make_unique<WorkerChannel>(
-      WorkerChannel::Kind::kLocal, fds[0], fds[0], -1,
-      "shard" + std::to_string(index)));
   const SweepSpec* spec = binding.spec;
   const unsigned cell_threads = binding.cell_threads;
-  const int worker_fd = fds[1];
-  try {
-    threads_.emplace_back([spec, cell_threads, worker_fd] {
-      (void)serve_pipe_worker(*spec, cell_threads, worker_fd, worker_fd);
-    });
-  } catch (...) {
-    ::close(worker_fd);
-    throw;
+  std::vector<WorkerChannel*> out;
+  for (unsigned i = 0; i < shards_; ++i) {
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+      throw std::runtime_error(std::string("cannot create a local sweep "
+                                           "worker socketpair: ") +
+                               std::strerror(errno));
+    }
+    set_cloexec(fds[0]);
+    set_cloexec(fds[1]);
+    channels_.push_back(std::make_unique<WorkerChannel>(
+        WorkerChannel::Kind::kLocal, fds[0], fds[0], -1,
+        "shard" + std::to_string(i)));
+    out.push_back(channels_.back().get());
+    const int worker_fd = fds[1];
+    try {
+      threads_.emplace_back([spec, cell_threads, worker_fd] {
+        serve_pipe_worker(*spec, cell_threads, worker_fd);
+      });
+    } catch (...) {
+      ::close(worker_fd);
+      throw;
+    }
   }
+  return out;
 }
 
 void PipeTransport::unbind() {

@@ -8,11 +8,10 @@
 // shard, a subprocess's stdin/stdout, or a TCP socket. A Transport owns
 // channels and knows how to bind them to one sweep run:
 //
-//   * PipeTransport  — the local worker pool: forked children over pipes,
-//     or std::threads on one end of a socketpair. Either way the worker
-//     shares the coordinator's memory image (the SweepSpec closures
-//     included), so no handshake is needed. A local worker's death is a
-//     hard sweep failure.
+//   * PipeTransport  — the local worker pool: std::threads, each on one end
+//     of a socketpair. The worker shares the coordinator's memory image
+//     (the SweepSpec closures included), so no handshake is needed. A
+//     local worker's death is a hard sweep failure.
 //   * StdioTransport — spawns worker commands (`sh -c`) speaking the framed
 //     protocol on stdin/stdout; `ssh host sweep_worker --stdio` makes this
 //     the zero-infrastructure cross-machine transport.
@@ -51,7 +50,7 @@ class WorkerChannel {
  public:
   /// Which transport produced the channel (drives disconnect policy).
   enum class Kind {
-    kLocal,  ///< forked or in-process shard sharing this memory image
+    kLocal,  ///< in-process shard sharing this memory image
     kStdio,  ///< spawned subprocess speaking frames on stdin/stdout
     kTcp,    ///< TCP socket to a sweep_worker process
   };
@@ -122,9 +121,6 @@ struct SpecBinding {
   unsigned cell_threads = 0;        ///< worker threads per cell (0 = auto)
   std::uint64_t cell_count = 0;     ///< expected cell count (cross-check)
   std::uint64_t fingerprint = 0;    ///< expected spec fingerprint
-  /// Fds a forked shard must close so peer transports see clean EOFs
-  /// (remote channel fds already bound when the fork happens).
-  std::vector<int> close_in_child;
 };
 
 /// A source of bound worker channels. Transports may be persistent (remote
@@ -143,26 +139,17 @@ class Transport {
 };
 
 /// The local worker pool behind the Transport seam. bind() starts `shards`
-/// workers that run serve_pipe_worker against the shared in-memory spec:
-/// forked children over pipes when `use_processes` is set and shards > 1,
-/// otherwise std::threads on one end of a socketpair. A shard whose pipe
-/// or fork fails, and every shard after it, runs as a thread, so threads
-/// never exist while this transport forks. unbind() stops the workers,
-/// reaps the children and joins the threads.
+/// std::threads that run serve_pipe_worker against the shared in-memory
+/// spec, each on one end of a socketpair. unbind() stops and joins them.
 class PipeTransport : public Transport {
  public:
-  PipeTransport(unsigned shards, bool use_processes);
+  explicit PipeTransport(unsigned shards);
   ~PipeTransport() override;
   std::vector<WorkerChannel*> bind(const SpecBinding& binding) override;
   void unbind() override;
 
  private:
-  bool fork_shard(const SpecBinding& binding, unsigned index,
-                  std::vector<int>& parent_fds);
-  void start_thread(const SpecBinding& binding, unsigned index);
-
   unsigned shards_;
-  bool use_processes_;
   std::vector<std::unique_ptr<WorkerChannel>> channels_;
   std::vector<std::thread> threads_;
 };
@@ -257,14 +244,6 @@ std::string check_hello(WorkerChannel& ch, const Frame& frame,
 std::string dial_hello(WorkerChannel& ch, PeerRole role);
 
 // --- worker side ------------------------------------------------------------
-
-/// Serve loop for local shards: execute Task frames against the in-memory
-/// `spec`, answer with Result/Error frames, stop on EOF or Shutdown. Owns
-/// and closes the fds (equal for a socket). Returns the exit code (0 done,
-/// 1 failed block or malformed stream); a forked child passes it to _exit,
-/// keeping itself off the parent's destructors.
-int serve_pipe_worker(const SweepSpec& spec, unsigned cell_threads, int in_fd,
-                      int out_fd);
 
 /// Serve loop for remote workers (`sweep_worker`): send Hello, verify the
 /// HelloAck, rebuild specs from SpecInit frames through the grid registry,

@@ -5,8 +5,10 @@
 // exchanges heat laterally within its layer and vertically with the layers
 // above/below through series thermal conductances; the top (TIM → heat
 // transfer coefficient) and bottom (PCB → ambient) faces are convective
-// boundaries. Solved by successive over-relaxation on the conductance
-// network — the same physics HotSpot's grid model integrates.
+// boundaries. The conductance network (the physics HotSpot's grid model
+// integrates) is solved by conjugate gradients, preconditioned with an exact
+// tridiagonal solve down each lateral column, until the recomputed true
+// residual shows GridConfig::tolerance_C bounds every cell's error.
 
 #include <cstddef>
 #include <string>
@@ -22,16 +24,16 @@ struct Layer {
   std::vector<double> power_W;      ///< optional nx*ny heat injection (W/cell)
 };
 
-/// Solver configuration and result.
+/// Solver configuration.
 struct GridConfig {
   std::size_t nx = 24, ny = 24;
   double width_mm = 1.0, height_mm = 1.0;
   double h_top_W_m2K = 1000.0;      ///< convective coefficient at the top face
   double h_bottom_W_m2K = 20.0;     ///< PCB underside
   double ambient_C = 25.0;
-  double sor_omega = 1.9;
+  /// Accuracy of solve(): the bound on each cell's temperature error. The
+  /// solve stops once ‖M⁻¹(P − A·θ)‖∞ ≤ tolerance_C / 100.
   double tolerance_C = 2e-6;
-  std::size_t max_sweeps = 80000;
 };
 
 /// Per-layer temperature summary.
@@ -44,9 +46,9 @@ struct LayerTemps {
 /// Solution of one solve() call.
 struct ThermalSolution {
   std::vector<LayerTemps> layers;
-  std::size_t sweeps = 0;
-  double residual_C = 0.0;
-  bool converged = false;
+  std::size_t sweeps = 0;    ///< conjugate-gradient iterations run
+  double residual_C = 0.0;   ///< final ‖M⁻¹(P − A·θ)‖∞, recomputed (°C)
+  bool converged = false;    ///< residual_C ≤ tolerance_C / 100
 
   [[nodiscard]] const LayerTemps& layer(const std::string& name) const;
   [[nodiscard]] double hottest_C() const;
@@ -55,10 +57,13 @@ struct ThermalSolution {
 /// The solver.
 class ThermalGrid {
  public:
+  /// Throws std::invalid_argument for an invalid grid, layer or power map,
+  /// and for boundary coefficients that are negative, non-finite or both
+  /// zero (no path to ambient).
   ThermalGrid(GridConfig config, std::vector<Layer> layers);
 
   [[nodiscard]] const GridConfig& config() const { return config_; }
-  [[nodiscard]] std::size_t layer_count() const { return layers_.size(); }
+  [[nodiscard]] const std::vector<Layer>& layers() const { return layers_; }
 
   /// Steady-state solve; deterministic for a given configuration.
   [[nodiscard]] ThermalSolution solve() const;

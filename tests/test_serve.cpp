@@ -229,6 +229,16 @@ struct Daemon {
   void join() {
     if (runner.joinable()) runner.join();
   }
+  /// Poll the live counters until `n` workers have handshaken (30 s cap).
+  [[nodiscard]] bool await_workers(std::uint64_t n) const {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (coord->stats().workers_seen < n) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    return true;
+  }
 };
 
 std::thread launch_serve_worker(const std::string& addr) {
@@ -273,6 +283,10 @@ TEST(ServeEndToEnd, BatchedRepliesBitIdenticalToSequentialSolves) {
   Daemon daemon(cfg);
   std::thread w1 = launch_serve_worker(daemon.addr());
   std::thread w2 = launch_serve_worker(daemon.addr());
+  // Both workers handshake before any request: otherwise the first can
+  // serve all of them and the drain can end the run before the second
+  // worker's Hello is answered.
+  ASSERT_TRUE(daemon.await_workers(2)) << "serve workers never handshook";
 
   constexpr std::uint64_t kRequests = 16;
   serve::ServeClient client(daemon.addr());

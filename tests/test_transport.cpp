@@ -465,7 +465,7 @@ TEST(TcpTransport, MixedLocalShardsAndRemoteWorkers) {
   sweep::SweepOptions opt;
   opt.transport = transport;
   opt.grid = ref;
-  opt.shards = 2;  // forked local shards pull from the same queue
+  opt.shards = 2;  // local thread shards pull from the same queue
   const auto mixed = sweep::run_sweep(spec, opt);
   ASSERT_EQ(mixed.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {
