@@ -27,6 +27,7 @@
 //   --checkpoint=BASE  rung k checkpoints to BASE.rung<k> (resumable)
 
 #include <cstdio>
+#include <exception>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -39,7 +40,7 @@
 
 using namespace h3dfact;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   util::Cli cli(argc, argv);
   bench::grids::register_all();
   dse::register_design_spaces();
@@ -133,4 +134,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "[dse] wrote %s\n", path.c_str());
   }
   return 0;
+} catch (const std::exception& e) {
+  // Malformed grid params (e.g. --sigma=nan) land here, named in e.what().
+  std::fprintf(stderr, "[dse] %s\n", e.what());
+  return 1;
 }

@@ -17,6 +17,8 @@
 #else
 #include "minibench.hpp"
 #endif
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -223,16 +225,46 @@ void BM_SignActivation(benchmark::State& state) {
 }
 BENCHMARK(BM_SignActivation);
 
-void BM_H3dChannel(benchmark::State& state) {
+// The H3DFact similarity channel at D = 1024 on what the resonator feeds
+// it: crosstalk similarities ~ N(0, D) clipped at zero, plus one matching
+// word at D. BM_H3dChannel runs the fused make_h3dfact_channel;
+// BM_H3dChannelComposite runs the three-stage reference it reproduces bit
+// for bit, so the pair is a same-host before/after of the fusion. Items are
+// similarity entries.
+constexpr std::size_t kChannelDim = 1024;
+
+void run_h3d_channel(benchmark::State& state,
+                     const resonator::SimilarityChannel& channel) {
   util::Rng rng(5);
-  auto channel = resonator::make_h3dfact_channel(1024);
+  const double crosstalk = std::sqrt(static_cast<double>(kChannelDim));
   std::vector<int> sims(static_cast<std::size_t>(state.range(0)));
-  for (auto& s : sims) s = static_cast<int>(rng.range(-200, 200));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(channel->apply(sims, rng));
+  for (auto& s : sims) {
+    s = std::max(0, static_cast<int>(rng.gaussian(0.0, crosstalk)));
   }
+  sims.front() = static_cast<int>(kChannelDim);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(channel.apply(sims, rng));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+
+void BM_H3dChannel(benchmark::State& state) {
+  run_h3d_channel(state, *resonator::make_h3dfact_channel(kChannelDim));
 }
 BENCHMARK(BM_H3dChannel)->Arg(256)->Arg(512);
+
+void BM_H3dChannelComposite(benchmark::State& state) {
+  // make_h3dfact_channel's defaults, stage by stage.
+  const double crosstalk = std::sqrt(static_cast<double>(kChannelDim));
+  const resonator::CompositeChannel channel(
+      {std::make_shared<resonator::GaussianChannel>(0.5 * crosstalk),
+       std::make_shared<resonator::ThresholdChannel>(1.5 * crosstalk),
+       std::make_shared<resonator::AdcChannel>(4, 4.0 * crosstalk,
+                                               /*signed_range=*/false)});
+  run_h3d_channel(state, channel);
+}
+BENCHMARK(BM_H3dChannelComposite)->Arg(256)->Arg(512);
 
 void BM_CrossbarMvm(benchmark::State& state) {
   util::Rng rng(6);

@@ -1,7 +1,9 @@
 #include "dse/space.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -97,6 +99,17 @@ void check_range(const std::string& key, std::int64_t value, std::int64_t lo,
   }
 }
 
+// The channel knobs (in crosstalk sigmas) must be finite: sigma and theta
+// may be zero, the ADC clip must be positive.
+void check_channel_knob(const std::string& key, double value, bool positive) {
+  if (!std::isfinite(value) || value < 0.0 || (positive && value == 0.0)) {
+    std::ostringstream ss;
+    ss << "design-axis param " << key << " = " << value
+       << " must be finite and " << (positive ? "> 0" : ">= 0");
+    throw std::invalid_argument(ss.str());
+  }
+}
+
 }  // namespace
 
 sweep::SweepSpec build_design_space(const GridParams& p) {
@@ -123,6 +136,9 @@ sweep::SweepSpec build_design_space(const GridParams& p) {
   check_range("trials", trials, 1, 1'000'000);
   check_range("cap", cap, 1, 100'000'000);
   check_range("thermal", thermal, 0, 256);
+  check_channel_knob("sigma", sigma, /*positive=*/false);
+  check_channel_knob("theta", theta, /*positive=*/false);
+  check_channel_knob("clip", clip, /*positive=*/true);
 
   sweep::SweepSpec spec;
   spec.name = kDesignGrid;

@@ -9,6 +9,7 @@
 // The resonator's sign() activation is scale-invariant, so channels may
 // return values in any positively-scaled unit (e.g. raw ADC codes).
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -52,6 +53,9 @@ class GaussianChannel final : public SimilarityChannel {
                                        util::Rng& rng) const override;
   [[nodiscard]] std::string describe() const override;
   [[nodiscard]] double sigma() const { return sigma_; }
+
+  /// The count read for exact count x under standard-normal draw z.
+  [[nodiscard]] int read(int x, double z) const;
 
  private:
   double sigma_;
@@ -98,6 +102,9 @@ class ThresholdChannel final : public SimilarityChannel {
   [[nodiscard]] bool deterministic() const override { return true; }
   [[nodiscard]] std::string describe() const override;
 
+  /// 0 if |v| is below the threshold, else v.
+  [[nodiscard]] int gate(int v) const;
+
  private:
   double threshold_;
 };
@@ -132,12 +139,56 @@ class CompositeChannel final : public SimilarityChannel {
   std::vector<std::shared_ptr<const SimilarityChannel>> stages_;
 };
 
+/// The H3DFact similarity path in one stage: Gaussian read noise of stddev
+/// `sigma` counts, then the sense threshold at `threshold` counts, then a
+/// `bits`-bit unsigned ADC clipped at `clip` counts.
+///
+/// Exactness contract: for every input and every generator state, apply()
+/// returns the same codes as CompositeChannel{GaussianChannel(sigma),
+/// ThresholdChannel(threshold), AdcChannel(bits, clip, unsigned)}, consumes
+/// the same draws, and leaves the generator in the same util::RngState,
+/// including the stale Box–Muller cache that save_state() serializes.
+///
+/// Fast path: the code is monotone in the noise, so each exact count x in
+/// [−dim, dim] keeps its noiseless code c0(x) for any noise below a radius
+/// R(x) (tabulated at construction, less 1e-6 counts of margin). Entries
+/// go in Box–Muller pairs; a pair whose radius √(−2 ln u1) is below both
+/// entries' R — tested as u1 > exp(−R²/2), with no log, sqrt, sin or cos —
+/// takes c0 for both. Everything else runs Rng::gaussian()'s arithmetic:
+/// pairs with a larger radius, inputs outside [−dim, dim], a cached draw
+/// pending on entry (it feeds entry 0), an odd tail (it leaves the sin half
+/// cached) and the last pair of every call (it sets the stale cache).
+class H3dfactChannel final : public SimilarityChannel {
+ public:
+  H3dfactChannel(std::size_t dim, double sigma, double threshold, int bits,
+                 double clip);
+  [[nodiscard]] std::vector<int> apply(const std::vector<int>& exact,
+                                       util::Rng& rng) const override;
+  [[nodiscard]] std::string describe() const override;
+
+ private:
+  /// Threshold then ADC of the integer the noise stage produced.
+  [[nodiscard]] int code(int noisy) const;
+  /// Code of exact count x read with standard-normal draw z.
+  [[nodiscard]] int noisy_code(int x, double z) const;
+  /// Table row of x: x + dim inside [−dim, dim], else the sentinel row.
+  [[nodiscard]] std::size_t row(int x) const;
+
+  GaussianChannel noise_;
+  ThresholdChannel threshold_;
+  AdcChannel adc_;
+  std::int64_t dim_;
+  std::vector<int> c0_;      ///< noiseless code per row
+  std::vector<double> cut_;  ///< u1 above this cannot move the code
+};
+
 /// The H3DFact analog similarity path for dimension D: Gaussian read noise
 /// of stddev `sigma_frac·√D`, a sense threshold at `threshold_sigmas·√D`
 /// (entries below it read as zero — the VTGT decision of Fig. 2), and a
 /// `bits`-bit unsigned ADC clipped at `clip_sigmas·√D` counts. The defaults
 /// reproduce the paper's configuration: 4-bit ADC, device noise at half the
 /// inter-vector crosstalk floor (√D), threshold at 1.5 crosstalk sigmas.
+/// Returns the fused H3dfactChannel.
 std::shared_ptr<const SimilarityChannel> make_h3dfact_channel(
     std::size_t dim, int adc_bits = 4, double sigma_frac = 0.5,
     double clip_sigmas = 4.0, double threshold_sigmas = 1.5);

@@ -26,11 +26,13 @@ double Rng::gaussian() {
     has_cached_gauss_ = false;
     return cached_gauss_;
   }
-  // Box-Muller; u1 in (0,1] to avoid log(0).
-  double u1 = 1.0 - uniform();
-  double u2 = uniform();
-  double r = std::sqrt(-2.0 * std::log(u1));
-  double theta = 2.0 * M_PI * u2;
+  return box_muller(box_muller_draw());
+}
+
+double Rng::box_muller(BoxMullerDraw draw) {
+  // u1 in (0,1] avoids log(0).
+  const double r = std::sqrt(-2.0 * std::log(draw.u1));
+  const double theta = 2.0 * M_PI * draw.u2;
   cached_gauss_ = r * std::sin(theta);
   has_cached_gauss_ = true;
   return r * std::cos(theta);

@@ -90,6 +90,28 @@ class Rng {
   /// Standard normal via Box-Muller (cached pair).
   double gaussian();
 
+  /// True when the next gaussian() returns the cached half of a pair.
+  [[nodiscard]] bool has_cached_gaussian() const { return has_cached_gauss_; }
+
+  /// The two uniforms of one Box-Muller pair.
+  struct BoxMullerDraw {
+    double u1;  ///< in (0, 1]; the radius is sqrt(-2 ln u1)
+    double u2;  ///< in [0, 1); the angle is 2 pi u2
+  };
+
+  /// Draw the uniforms of the next pair in gaussian()'s order. Together with
+  /// box_muller() this splits an uncached gaussian() call in two, so a
+  /// caller can inspect the radius before paying for log/sqrt/sin/cos.
+  BoxMullerDraw box_muller_draw() {
+    const double u1 = 1.0 - uniform();
+    const double u2 = uniform();
+    return {u1, u2};
+  }
+
+  /// Finish a pair exactly as gaussian() does: cache the sin half and
+  /// return the cos half.
+  double box_muller(BoxMullerDraw draw);
+
   /// Normal with mean mu, stddev sigma.
   double gaussian(double mu, double sigma) { return mu + sigma * gaussian(); }
 

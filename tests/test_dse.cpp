@@ -189,6 +189,10 @@ TEST(DesignSpace, StrictParseRejectsMalformedAxisParamsByName) {
       {"designs", "h4d"},    // unknown design kind
       {"rows", "4"},         // below the modelled range
       {"adc", "31"},         // above the modelled range
+      {"sigma", "nan"},      // non-finite channel noise
+      {"theta", "-1"},       // negative sense threshold
+      {"clip", "0"},         // zero ADC full scale
+      {"clip", "inf"},       // non-finite ADC full scale
   };
   for (const auto& b : bad) {
     sweep::GridRef ref = unit_ref();

@@ -2,8 +2,12 @@
 // baseline on small problems, stochastic escape from limit cycles, trial
 // runner statistics, and profiling.
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -24,6 +28,7 @@ using resonator::AdcChannel;
 using resonator::ExactChannel;
 using resonator::FactorizationProblem;
 using resonator::GaussianChannel;
+using resonator::H3dfactChannel;
 using resonator::ProblemGenerator;
 using resonator::ResonatorNetwork;
 using resonator::ResonatorOptions;
@@ -62,6 +67,23 @@ TEST(Channels, GaussianZeroSigmaIsExact) {
 
 TEST(Channels, GaussianRejectsNegativeSigma) {
   EXPECT_THROW(GaussianChannel(-1.0), std::invalid_argument);
+}
+
+TEST(Channels, RejectNonFiniteParams) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(GaussianChannel{nan}, std::invalid_argument);
+  EXPECT_THROW(GaussianChannel{inf}, std::invalid_argument);
+  EXPECT_THROW(ThresholdChannel{nan}, std::invalid_argument);
+  EXPECT_THROW(ThresholdChannel{inf}, std::invalid_argument);
+  EXPECT_THROW(ThresholdChannel{-1.0}, std::invalid_argument);
+  EXPECT_THROW(AdcChannel(4, nan), std::invalid_argument);
+  EXPECT_THROW(AdcChannel(4, inf), std::invalid_argument);
+  EXPECT_THROW(H3dfactChannel(64, nan, 12.0, 4, 32.0), std::invalid_argument);
+  EXPECT_THROW(H3dfactChannel(64, 4.0, nan, 4, 32.0), std::invalid_argument);
+  EXPECT_THROW(H3dfactChannel(64, 4.0, 12.0, 4, nan), std::invalid_argument);
+  EXPECT_THROW(H3dfactChannel(64, 4.0, 12.0, 4, 0.0), std::invalid_argument);
+  EXPECT_THROW(H3dfactChannel(64, 4.0, 12.0, 0, 32.0), std::invalid_argument);
 }
 
 TEST(Channels, AdcQuantizesAndSaturates) {
@@ -109,12 +131,88 @@ TEST(Channels, CompositeAppliesInOrder) {
   EXPECT_TRUE(comp.deterministic());
 }
 
-TEST(Channels, H3dfactFactoryComposition) {
+// The three-stage reference the fused H3dfactChannel must reproduce.
+resonator::CompositeChannel h3dfact_composite(double sigma, double threshold,
+                                              int bits, double clip) {
+  return resonator::CompositeChannel(
+      {std::make_shared<GaussianChannel>(sigma),
+       std::make_shared<ThresholdChannel>(threshold),
+       std::make_shared<AdcChannel>(bits, clip, /*signed_range=*/false)});
+}
+
+// Apply both channels to `in` from equal generator states; the codes and the
+// full RngState (stale Box–Muller cache included) must come out equal.
+void expect_same_call(const resonator::SimilarityChannel& fused,
+                      const resonator::SimilarityChannel& ref,
+                      const std::vector<int>& in, Rng& fused_rng,
+                      Rng& ref_rng) {
+  ASSERT_EQ(fused_rng.save_state(), ref_rng.save_state());
+  ASSERT_EQ(fused.apply(in, fused_rng), ref.apply(in, ref_rng))
+      << "size " << in.size();
+  ASSERT_EQ(fused_rng.save_state(), ref_rng.save_state())
+      << "size " << in.size();
+}
+
+TEST(Channels, H3dfactFactoryMatchesComposite) {
   auto ch = resonator::make_h3dfact_channel(1024, 4, 1.0, 4.0);
   ASSERT_NE(ch, nullptr);
   EXPECT_FALSE(ch->deterministic());
-  EXPECT_NE(ch->describe().find("adc"), std::string::npos);
-  EXPECT_NE(ch->describe().find("gaussian"), std::string::npos);
+  const auto ref = h3dfact_composite(32.0, 48.0, 4, 128.0);
+  EXPECT_EQ(ch->describe(), ref.describe());
+  Rng gen(17), fused_rng(18), ref_rng(18);
+  std::vector<int> in(512);
+  for (int call = 0; call < 50; ++call) {
+    for (auto& v : in) v = std::max(0, static_cast<int>(gen.gaussian(0.0, 32.0)));
+    in[call % in.size()] = 1024;  // one matching code word
+    expect_same_call(*ch, ref, in, fused_rng, ref_rng);
+  }
+}
+
+// Randomized identity of the fused channel against the composite: sizes 0,
+// 1, 2 and odd; a cached draw pending on entry; sigma 0; 1-, 4- and 8-bit
+// ADCs; negative inputs (no rectification); inputs outside [−D, D]; and
+// several D.
+TEST(Channels, H3dfactFusedMatchesCompositeBitForBit) {
+  Rng gen(2024);
+  const std::size_t sizes[] = {0, 1, 2, 3, 5, 17, 64, 255, 512};
+  for (std::size_t dim : {1, 7, 64, 1024}) {
+    const double crosstalk = std::sqrt(static_cast<double>(dim));
+    const int d = static_cast<int>(dim);
+    for (int bits : {1, 4, 8}) {
+      for (double sigma_frac : {0.0, 0.25, 0.5, 2.0}) {
+        for (double theta_sigmas : {0.0, 1.5}) {
+          const double sigma = sigma_frac * crosstalk;
+          const double theta = theta_sigmas * crosstalk;
+          const double clip = 4.0 * crosstalk;
+          const resonator::H3dfactChannel fused(dim, sigma, theta, bits, clip);
+          const auto ref = h3dfact_composite(sigma, theta, bits, clip);
+          const std::uint64_t seed = gen.next();
+          Rng fused_rng(seed), ref_rng(seed);
+          for (int call = 0; call < 40; ++call) {
+            std::vector<int> in(sizes[gen.below(std::size(sizes))]);
+            const auto mode = gen.below(4);
+            for (auto& v : in) {
+              if (mode == 0) {  // the resonator's clipped crosstalk
+                v = std::max(0, static_cast<int>(gen.gaussian(0.0, crosstalk)));
+              } else if (mode == 1) {  // signed crosstalk, no clipping
+                v = static_cast<int>(gen.gaussian(0.0, crosstalk));
+              } else if (mode == 2) {  // every count in [−D, D]
+                v = static_cast<int>(gen.range(-d, d));
+              } else {  // reaching past the table on both sides
+                v = static_cast<int>(gen.range(-3 * d - 2, 3 * d + 2));
+              }
+            }
+            if (gen.bernoulli(0.3) && !fused_rng.has_cached_gaussian()) {
+              // Leave the second half of a pair pending on entry.
+              (void)fused_rng.gaussian();
+              (void)ref_rng.gaussian();
+            }
+            expect_same_call(fused, ref, in, fused_rng, ref_rng);
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(Channels, TopKKeepsLargestEntries) {
